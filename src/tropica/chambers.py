@@ -17,7 +17,10 @@ pairwise distinct entries; at repeated entries the tuple count and the
 partition count differ by symmetry factors.
 """
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,8 +39,8 @@ class LinearForm:
     def evaluate(self, mu, nu):
         if len(mu) != len(self.mu_coeffs) or len(nu) != len(self.nu_coeffs):
             raise ArgumentError("point has the wrong number of entries")
-        return (sum(a * m for a, m in zip(self.mu_coeffs, mu))
-                + sum(b * n for b, n in zip(self.nu_coeffs, nu)))
+        return (sum(map(operator.mul, self.mu_coeffs, mu))
+                + sum(map(operator.mul, self.nu_coeffs, nu)))
 
     def text(self) -> str:
         parts = []
@@ -334,17 +337,27 @@ def _distinct_chamber_points(chamber: Chamber, lmu, lnu):
     in order of growing degree."""
     degree = max(lmu * (lmu + 1) // 2, lnu * (lnu + 1) // 2)
     while True:
-        mu_tuples = [p
-                     for p in itertools.permutations(range(1, degree + 1), lmu)
-                     if sum(p) == degree]
-        nu_tuples = [p
-                     for p in itertools.permutations(range(1, degree + 1), lnu)
-                     if sum(p) == degree]
-        for mu in mu_tuples:
-            for nu in nu_tuples:
-                if chamber.contains(mu, nu):
-                    yield mu, nu
+        groups = _distinct_points_by_signs(chamber.walls, lmu, lnu, degree)
+        yield from groups.get(tuple(chamber.signs), ())
         degree += 1
+
+
+# Every chamber of one arrangement scans the same points, so the sign
+# vectors of one degree are computed once and shared.
+@functools.lru_cache(maxsize=64)
+def _distinct_points_by_signs(wall_forms, lmu, lnu, degree):
+    mu_tuples = [p for p in itertools.permutations(range(1, degree + 1), lmu)
+                 if sum(p) == degree]
+    nu_tuples = [p for p in itertools.permutations(range(1, degree + 1), lnu)
+                 if sum(p) == degree]
+    groups = {}
+    for mu in mu_tuples:
+        for nu in nu_tuples:
+            values = [w.evaluate(mu, nu) for w in wall_forms]
+            if 0 not in values:
+                signs = tuple("+" if v > 0 else "-" for v in values)
+                groups.setdefault(signs, []).append((mu, nu))
+    return groups
 
 
 def _interpolated_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
@@ -354,22 +367,28 @@ def _interpolated_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
                                           repeat=num_vars)
              if sum(e) <= max_degree]
     rows = []
-    rank = 0
     points = _distinct_chamber_points(chamber, lmu, lnu)
     for mu, nu in points:
         coords = tuple(mu) + tuple(nu)[:-1]
-        row = []
-        for e in basis:
-            value = Fraction(1)
-            for x, p in zip(coords, e):
-                value *= x ** p
-            row.append(value)
-        row.append(double_hurwitz_tropical(0, mu, nu))
-        # exact Gaussian elimination, building an upper triangular system
+        count = double_hurwitz_tropical(0, mu, nu)
+        # clear the count's power-of-two denominator so the row is integral
+        row = [count.denominator * math.prod(x ** p for x, p in
+                                             zip(coords, e))
+               for e in basis]
+        row.append(count.numerator)
+        # fraction-free elimination to an upper triangular system: each
+        # step takes an integer combination a*row - b*pivot_row, and the
+        # row's content is divided out to keep the entries small
         for pivot_col, pivot_row in rows:
-            if row[pivot_col] != 0:
-                scale = row[pivot_col] / pivot_row[pivot_col]
-                row = [a - scale * b for a, b in zip(row, pivot_row)]
+            b = row[pivot_col]
+            if b != 0:
+                a = pivot_row[pivot_col]
+                shared = math.gcd(a, b)
+                a, b = a // shared, b // shared
+                row = [a * x - b * y for x, y in zip(row, pivot_row)]
+        content = math.gcd(*row)
+        if content > 1:
+            row = [x // content for x in row]
         lead = next((k for k in range(len(basis)) if row[k] != 0), None)
         if lead is None:
             if row[-1] != 0:
@@ -378,11 +397,10 @@ def _interpolated_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
                     "counts are not polynomial of the expected degree")
             continue
         rows.append((lead, row))
-        rank += 1
-        if rank == len(basis):
+        if len(rows) == len(basis):
             solution = [Fraction(0)] * len(basis)
             for pivot_col, pivot_row in sorted(rows, reverse=True):
-                value = pivot_row[-1]
+                value = Fraction(pivot_row[-1])
                 for k in range(pivot_col + 1, len(basis)):
                     value -= pivot_row[k] * solution[k]
                 solution[pivot_col] = value / pivot_row[pivot_col]

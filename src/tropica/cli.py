@@ -20,11 +20,12 @@ import os
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .chambers import chamber_decomposition, chamber_polynomial, walls
 from .elliptic_covers import (FeynmanGraph, count_labeled_covers,
-                              enumerate_feynman_graphs, labeled_aggregate,
-                              simple_hurwitz_tropical)
-from .errors import ArgumentError, CrossCheckError, SizeGuardError
+                              labeled_aggregate, simple_hurwitz_tropical)
+from .errors import (ArgumentError, CrossCheckError, LoopContractionError,
+                     SizeGuardError)
 from .feynman_series import mirror_check, refined_integral
 from .graph_complex import basis, differential_matrix, homology_dimension
 from .graphs import parse_graph, serialize
@@ -451,13 +452,16 @@ def _with_cache(args, compute):
     os.makedirs(args.cache_dir, exist_ok=True)
     blob = json.dumps({"command": args.command,
                        "parameters": _cache_params(args),
-                       "schema": SCHEMA_VERSION},
+                       "schema": SCHEMA_VERSION,
+                       "version": __version__},
                       sort_keys=True).encode("utf-8")
     key = hashlib.sha256(blob).hexdigest()
     path = os.path.join(args.cache_dir, key + ".json")
-    if os.path.exists(path):
+    try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
+    except (OSError, ValueError):
+        pass  # missing, unreadable or truncated: recompute and overwrite
     payload = compute()
     scratch = f"{path}.{os.getpid()}.tmp"
     with open(scratch, "w", encoding="utf-8") as handle:
@@ -595,7 +599,7 @@ def main(argv=None) -> int:
         if args.command == "mirror-check" and not payload["allMatch"]:
             return 4
         return 0
-    except ArgumentError as exc:
+    except (ArgumentError, LoopContractionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:

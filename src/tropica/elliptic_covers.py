@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, CrossCheckError, SizeGuardError
-from .graphs import (Multigraph, automorphism_group_order, canonical_key,
-                     enumerate_graphs, local_rh_defect)
+from .graphs import (Multigraph, automorphism_group_order, enumerate_graphs,
+                     local_rh_defect)
+from .util import compositions_of
 
 DEGREE_GUARD = 5
 GENUS_GUARD = 3
@@ -312,19 +313,10 @@ def labeled_aggregate(degree, genus, force=False):
         total = 0
         num_edges = shape.num_edges
         for order in itertools.permutations(range(shape.num_vertices)):
-            for multidegree in _compositions(d, num_edges):
+            for multidegree in compositions_of(d, num_edges):
                 total += count_labeled_covers(shape, order, multidegree)
         rows.append((shape, aut, total))
     return rows
-
-
-def _compositions(total, length):
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, length - 1):
-            yield (first,) + rest
 
 
 def simple_hurwitz_tropical(degree, genus, force=False) -> Fraction:

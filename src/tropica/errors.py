@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The command line tool maps these to exit codes: argument problems exit
-with 2, size-guard refusals with 3, failed internal cross-checks with 4.
+The command line tool maps these to exit codes: argument problems
+(ArgumentError and its subclasses, and LoopContractionError) exit with
+2, size-guard refusals with 3, failed internal cross-checks with 4.
 """
 
 

@@ -17,9 +17,14 @@ cover's automorphism count, which is asserted per cover.
 
 The total count is additionally available through a collapsed-state
 dynamic program over the same sweep, which avoids materializing the
-cover list; both routes agree and are tested against each other.
+cover list; both routes agree and are tested against each other.  The
+program runs in integers scaled by 2^s, since its only denominators are
+the powers of two from forks and wieners, and its totals are memoised
+per partition triple, so callers that revisit a partition through a
+permuted tuple (as chamber interpolation does) pay for one sweep.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -260,10 +265,13 @@ def _canon(ends, comps):
 
 
 def _dp_events(state):
-    """Yield (next_state, ways, factor) for one level of the sweep."""
+    """Yield (next_state, ways, factor) for one level of the sweep.
+
+    factor is twice the event's multiplicity factor (1/2, 1 or an edge
+    weight product), so it is always an int.
+    """
     ends, comps = state
     end_vals = sorted(set(ends))
-    half = Fraction(1, 2)
 
     def ends_without(*remove):
         pool = list(ends)
@@ -278,14 +286,13 @@ def _dp_events(state):
                 continue
             new_comps = list(comps) + [((a + b,), ())]
             yield (_canon(ends_without(a, b), new_comps), 1,
-                   half if a == b else Fraction(1))
+                   1 if a == b else 2)
 
     # split a left end
     for a in end_vals:
         for x in range(1, a // 2 + 1):
             fresh = ((), (x,)) if x == a - x else ((x, a - x), ())
-            yield (_canon(ends_without(a), list(comps) + [fresh]), 1,
-                   Fraction(1))
+            yield (_canon(ends_without(a), list(comps) + [fresh]), 1, 2)
 
     handles = []
     for ci, (solos, pairs) in enumerate(comps):
@@ -324,7 +331,7 @@ def _dp_events(state):
             comps_mut = list(comps)
             take_one(comps_mut, ci, kind, w)
             add_solo(comps_mut, ci, a + w)
-            yield (_canon(ends_without(a), comps_mut), m, Fraction(w))
+            yield (_canon(ends_without(a), comps_mut), m, 2 * w)
 
     # merge two inner strands
     for i in range(len(handles)):
@@ -336,7 +343,7 @@ def _dp_events(state):
             take_one(comps_mut, ci, "solo", wi)
             add_solo(comps_mut, ci, 2 * wi)
             yield (_canon(ends, comps_mut), mi * (mi - 1) // 2,
-                   Fraction(wi * wi))
+                   2 * wi * wi)
         if kind_i == "pair":
             # both members of one pair: a wiener
             comps_mut = list(comps)
@@ -345,7 +352,7 @@ def _dp_events(state):
             pairs.remove(wi)
             comps_mut[ci] = (solos, tuple(pairs))
             add_solo(comps_mut, ci, 2 * wi)
-            yield (_canon(ends, comps_mut), mi, Fraction(wi * wi) * half)
+            yield (_canon(ends, comps_mut), mi, wi * wi)
             if mi >= 2:
                 # one member from each of two different pairs
                 comps_mut = list(comps)
@@ -353,7 +360,7 @@ def _dp_events(state):
                 take_one(comps_mut, ci, "pair", wi)
                 add_solo(comps_mut, ci, 2 * wi)
                 yield (_canon(ends, comps_mut), mi * (mi - 1) // 2,
-                       Fraction(wi * wi))
+                       2 * wi * wi)
         for j in range(i + 1, len(handles)):
             cj, kind_j, wj, mj = handles[j]
             comps_mut = list(comps)
@@ -363,7 +370,7 @@ def _dp_events(state):
             if ci != cj:
                 target = fuse(comps_mut, ci, cj)
             add_solo(comps_mut, target, wi + wj)
-            yield (_canon(ends, comps_mut), mi * mj, Fraction(wi * wj))
+            yield (_canon(ends, comps_mut), mi * mj, 2 * wi * wj)
 
     # split an inner strand
     for ci, kind, w, m in handles:
@@ -378,30 +385,37 @@ def _dp_events(state):
             else:
                 add_solo(comps_mut, ci, x)
                 add_solo(comps_mut, ci, w - x)
-            yield (_canon(ends, comps_mut), m, Fraction(w))
+            yield (_canon(ends, comps_mut), m, 2 * w)
 
 
 def double_hurwitz_tropical(genus, mu, nu) -> Fraction:
     """The tropical double Hurwitz number: sum of cover multiplicities.
 
-    Computed by the collapsed-state sweep; agrees with summing
-    multiplicity() over enumerate_line_covers() and with the symmetric
-    group oracle.
+    Computed by the collapsed-state sweep in integers: each level
+    multiplies by twice its event factor, so after s levels a state
+    holds its value scaled by 2^s, and each final state divides that
+    back out together with its 2^(pairs) end symmetry.  Totals are
+    memoised per normalised (genus, mu, nu), so permuted tuples share
+    one sweep.  Agrees with summing multiplicity() over
+    enumerate_line_covers() and with the symmetric group oracle.
     """
     genus, mu, nu, s = _setup(genus, mu, nu)
-    start = _canon(mu.parts, ())
-    values = {start: Fraction(1)}
+    return _dp_total(genus, mu.parts, nu.parts, s)
+
+
+# Entries are a few small tuples and one Fraction; the bound only keeps a
+# long-lived process from growing without limit.
+@functools.lru_cache(maxsize=4096)
+def _dp_total(genus, mu_parts, nu_parts, s) -> Fraction:
+    values = {_canon(mu_parts, ()): 1}
     for _ in range(s):
         nxt = {}
         for state, v in values.items():
             for new_state, ways, factor in _dp_events(state):
-                if ways == 0:
-                    continue
-                nxt[new_state] = nxt.get(new_state, Fraction(0)) \
-                    + v * ways * factor
+                nxt[new_state] = nxt.get(new_state, 0) + v * ways * factor
         values = nxt
 
-    target = tuple(sorted(nu.parts))
+    target = tuple(sorted(nu_parts))
     total = Fraction(0)
     for (ends, comps), v in values.items():
         if ends or len(comps) != 1:
@@ -410,5 +424,5 @@ def double_hurwitz_tropical(genus, mu, nu) -> Fraction:
         weights = tuple(sorted(solos + pairs + pairs))
         if weights != target:
             continue
-        total += v * Fraction(1, 2 ** len(pairs))
+        total += Fraction(v, 2 ** (s + len(pairs)))
     return total

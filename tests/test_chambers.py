@@ -1,15 +1,22 @@
 """Tests for the genus-0 chamber decomposition and chamber polynomials."""
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tropica.chambers import (Chamber, ChamberPolynomial,
                               chamber_decomposition, chamber_polynomial,
                               walls)
-from tropica.errors import ArgumentError, DegenerateInputError
+from tropica.errors import (ArgumentError, CrossCheckError,
+                            DegenerateInputError)
 from tropica.line_covers import double_hurwitz_tropical
+from tropica.util import frac_str
+
+REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+             / "reference.json")
 
 
 def interior_distinct_points(chamber, degree_range):
@@ -121,6 +128,46 @@ def test_degree_bound():
         for ch in chamber_decomposition(lmu, lnu):
             poly = chamber_polynomial(ch)
             assert poly.total_degree() <= lmu + lnu - 3
+
+
+def test_three_two_polynomials_match_reference():
+    # the frozen (3,2) polynomials the benchmark verifies its runs against
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    expected = reference["cases"]["chambers --lmu 3 --lnu 2"]["chambers"]
+    got = {"".join(c.signs): sorted(
+        [list(e), frac_str(coeff)]
+        for e, coeff in chamber_polynomial(c).ordered_terms())
+        for c in chamber_decomposition(3, 2)}
+    assert got == expected
+
+
+@pytest.mark.parametrize("wrong_call, message", [
+    (0, "inconsistent"),  # a row of the interpolation system
+    (-1, "fails at"),  # the last extra-point consistency check
+])
+def test_interpolation_rejects_a_wrong_point_count(monkeypatch, wrong_call,
+                                                   message):
+    chamber = next(c for c in chamber_decomposition(2, 2)
+                   if c.signs == ("+", "-"))
+    calls = []
+
+    def recording(genus, mu, nu):
+        calls.append((mu, nu))
+        return double_hurwitz_tropical(genus, mu, nu)
+
+    monkeypatch.setattr("tropica.chambers.double_hurwitz_tropical",
+                        recording)
+    chamber_polynomial(chamber)
+    wrong = calls[wrong_call]
+
+    def off_by_one(genus, mu, nu):
+        value = double_hurwitz_tropical(genus, mu, nu)
+        return value + 1 if (mu, nu) == wrong else value
+
+    monkeypatch.setattr("tropica.chambers.double_hurwitz_tropical",
+                        off_by_one)
+    with pytest.raises(CrossCheckError, match=message):
+        chamber_polynomial(chamber)
 
 
 def test_neighbours_agree_on_walls():

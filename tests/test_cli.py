@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from tropica import cli
 from tropica.cli import main
+from tropica.errors import LoopContractionError
 from tropica.feynman_series import MirrorRow
 
 THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
@@ -247,6 +249,44 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert len(list(cache.iterdir())) == 1
     code, as_json, _ = run(capsys, *args, "--json")
     assert json.loads(as_json)["result"]["total"] == "999"
+
+
+def test_truncated_cache_file_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("double-hurwitz", "--genus", "1", "--mu", "2,2",
+            "--nu", "2,1,1", "--json", "--cache-dir", str(cache))
+    code, first, _ = run(capsys, *args)
+    assert code == 0
+    (entry,) = cache.iterdir()
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[:len(whole) // 2])
+    code, second, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert second == first
+    assert entry.read_bytes() == whole
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+
+
+def test_cache_key_holds_the_package_version(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    args = ("oracle", "line", "--genus", "1", "--mu", "3", "--nu", "3",
+            "--cache-dir", str(cache))
+    assert run(capsys, *args)[0] == 0
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
+    assert run(capsys, *args)[0] == 0
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_loop_contraction_error_exits_2(capsys, monkeypatch):
+    def refuse(args):
+        raise LoopContractionError("cannot contract a loop edge this way")
+
+    _, text_fn, csv_fn = cli._RUNNERS["moduli"]
+    monkeypatch.setitem(cli._RUNNERS, "moduli", (refuse, text_fn, csv_fn))
+    code, out, err = run(capsys, "moduli", "--genus", "1", "--marks", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot contract a loop edge this way\n"
 
 
 def test_repeated_runs_byte_identical(capsys):

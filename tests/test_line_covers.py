@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from tropica.errors import ArgumentError, DegenerateInputError
-from tropica.line_covers import (LineCover, double_hurwitz_tropical,
+from tropica.line_covers import (LineCover, _dp_total,
+                                 double_hurwitz_tropical,
                                  enumerate_line_covers, multiplicity)
 from tropica.sym_oracle import hurwitz_line
 from tropica.util import partitions_of
@@ -165,6 +166,34 @@ def test_input_order_is_irrelevant():
         == enumerate_line_covers(0, (2, 1), (2, 1))
     assert double_hurwitz_tropical(1, [2, 3], [1, 4]) \
         == double_hurwitz_tropical(1, (3, 2), (4, 1))
+
+
+def test_permuted_tuples_share_one_memoised_total():
+    value = double_hurwitz_tropical(1, (3, 1, 2), (1, 4, 1))
+    for mu in itertools.permutations((1, 2, 3)):
+        for nu in set(itertools.permutations((1, 1, 4))):
+            assert double_hurwitz_tropical(1, mu, nu) == value, (mu, nu)
+    hits = _dp_total.cache_info().hits
+    assert double_hurwitz_tropical(1, [2, 1, 3], [4, 1, 1]) == value
+    assert _dp_total.cache_info().hits == hits + 1
+
+
+def test_scaled_dp_matches_covers_with_forks_and_wieners():
+    # each case has covers with forks or wieners, so the sweep's 2^s
+    # scaling must divide back out to halves and non-integer totals
+    battery = [(0, (1, 1), (1, 1)), (2, (1, 1), (1, 1)), (1, (6,), (6,)),
+               (0, (3, 3), (3, 3)), (1, (3, 3), (6,)), (2, (3, 3), (3, 3)),
+               (2, (2, 2), (2, 2)), (1, (2, 2, 2), (3, 3))]
+    halved = 0
+    for g, mu, nu in battery:
+        covers = [multiplicity(c) for c in enumerate_line_covers(g, mu, nu)]
+        assert any(m.forks or m.wieners for m in covers), (g, mu, nu)
+        halved = max(halved, max(m.forks + m.wieners for m in covers))
+        total = sum((m.value for m in covers), Fraction(0))
+        assert double_hurwitz_tropical(g, mu, nu) == total, (g, mu, nu)
+    assert halved == 4
+    assert double_hurwitz_tropical(0, (1, 1), (1, 1)) == Fraction(1, 2)
+    assert double_hurwitz_tropical(2, (3, 3), (3, 3)) == Fraction(146043, 2)
 
 
 def test_cover_ordering_is_canonical():
