@@ -14,7 +14,6 @@ import argparse
 import csv
 import hashlib
 import io
-import itertools
 import json
 import os
 import sys
@@ -22,8 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .chambers import chamber_decomposition, chamber_polynomial, walls
-from .elliptic_covers import (FeynmanGraph, count_labeled_covers,
-                              labeled_aggregate, simple_hurwitz_tropical)
+from .elliptic_covers import FeynmanGraph, simple_hurwitz_routes
 from .errors import (ArgumentError, CrossCheckError, LoopContractionError,
                      SizeGuardError)
 from .feynman_series import mirror_check, refined_integral
@@ -32,8 +30,9 @@ from .graphs import parse_graph, serialize
 from .line_covers import (double_hurwitz_tropical, enumerate_line_covers,
                           multiplicity)
 from .moduli_space import build_poset, enumerate_types, is_folded
-from .sym_oracle import hurwitz_elliptic, hurwitz_line
-from .util import compositions_of, frac_str
+from .sym_oracle import (ELLIPTIC_DEGREE_GUARD, ELLIPTIC_GENUS_GUARD,
+                         hurwitz_elliptic, hurwitz_line)
+from .util import frac_str
 
 SCHEMA_VERSION = "tropica/1"
 
@@ -112,37 +111,28 @@ def _run_chambers(args):
 
 def _run_elliptic(args):
     d, g = args.degree, args.genus
-    total = simple_hurwitz_tropical(d, g, force=args.force)
-    graphs = []
-    for shape, aut, labeled_total in labeled_aggregate(d, g,
-                                                       force=args.force):
-        num_vertices = shape.graph.num_vertices
-        orders = []
-        recomputed = 0
-        for order in itertools.permutations(range(num_vertices)):
-            counts = []
-            subtotal = 0
-            for a in compositions_of(d, shape.graph.num_edges):
-                value = count_labeled_covers(shape, order, a)
-                if value:
-                    counts.append({"multidegree": list(a), "count": value})
-                    subtotal += value
-            orders.append({
-                "order": [v + 1 for v in order],
-                "total": subtotal,
-                "multidegrees": counts,
-            })
-            recomputed += subtotal
-        if recomputed != labeled_total:
+    total, table = simple_hurwitz_routes(d, g, force=args.force)
+    if d <= ELLIPTIC_DEGREE_GUARD and g <= ELLIPTIC_GENUS_GUARD:
+        oracle = hurwitz_elliptic(d, g)
+        if oracle != total:
             raise CrossCheckError(
-                "per-order recomputation disagrees with the aggregate: "
-                f"{recomputed} vs {labeled_total}")
+                f"the tropical routes give {total} but the S_d monodromy "
+                f"count gives {oracle} for degree {d}, genus {g}")
+    graphs = []
+    for shape, aut, orders in table:
+        rows = [{
+            "order": [v + 1 for v in order],
+            "total": sum(count for _, count in counts),
+            "multidegrees": [{"multidegree": list(a), "count": count}
+                             for a, count in counts],
+        } for order, counts in orders]
+        labeled_total = sum(row["total"] for row in rows)
         graphs.append({
             "graph": serialize(shape.graph),
             "automorphisms": aut,
             "labeledTotal": labeled_total,
             "contribution": frac_str(Fraction(labeled_total, aut)),
-            "orders": orders,
+            "orders": rows,
         })
     return {
         "degree": d,

@@ -13,33 +13,46 @@ Shapes are loop-free 3-valent graphs: a loop at a 3-valent vertex
 would force the remaining flag to weight 0, so loop shapes admit no
 cover at all (loop_graphs_admit_no_cover verifies this directly).
 
-The count N_{d,g} is computed twice: by enumerating unlabeled covers
-with multiplicity prod(w) / #symmetries, and by aggregating labeled
-cover counts N_{a,Omega} over shapes weighted by 1/|Aut|.  The two
-routes must agree.
+The edge-data search (_assignments) decides edges one at a time.  The
+last open edge at a vertex is not searched: balance forces its weight.
+
+N_{d,g} has two tropical routes, checked against each other by
+simple_hurwitz_routes: the direct route enumerates unlabeled covers
+with multiplicity prod(w) / #symmetries, and the labeled route sums
+the labeled counts N_{a,Omega} of labeled_table over shapes weighted by
+1/|Aut|.  Both walk _assignments, so `tropica elliptic` also compares
+the total with the S_d monodromy count of sym_oracle.hurwitz_elliptic,
+which shares no code with them, wherever its guard admits the input.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, CrossCheckError, SizeGuardError
 from .graphs import (Multigraph, automorphism_group_order, enumerate_graphs,
                      local_rh_defect)
-from .util import compositions_of
+from .util import compositions_of, slot_of
 
 DEGREE_GUARD = 5
 GENUS_GUARD = 3
 
 
-def _check_size(degree, genus, force):
-    if degree > DEGREE_GUARD or genus > GENUS_GUARD:
-        if not force:
-            raise SizeGuardError(
-                f"degree {degree}, genus {genus} exceeds the guard "
-                f"(degree <= {DEGREE_GUARD}, genus <= {GENUS_GUARD}); "
-                "pass force=True to run anyway")
+def _checked_size(degree, genus, force):
+    """(d, g) as ints once they are valid and within the guard."""
+    d, g = int(degree), int(genus)
+    if d < 1:
+        raise ArgumentError("degree must be positive")
+    if g < 2:
+        raise ArgumentError("genus must be at least 2")
+    if (d > DEGREE_GUARD or g > GENUS_GUARD) and not force:
+        raise SizeGuardError(
+            f"degree {d}, genus {g} exceeds the guard "
+            f"(degree <= {DEGREE_GUARD}, genus <= {GENUS_GUARD}); "
+            "pass force=True to run anyway")
+    return d, g
 
 
 @dataclass(frozen=True)
@@ -95,75 +108,79 @@ def enumerate_feynman_graphs(genus):
 
 # -- edge data search --------------------------------------------------------
 
-def _assignments(edges, slot_of, degree, multidegree=None):
+def _assignments(edges, slots, degree, multidegree=None):
     """All balanced edge-data assignments, as lists of (w, t, tail).
 
-    edges are (u, v) vertex pairs; slot_of maps a vertex to its circle
+    edges are (u, v) vertex pairs; slots maps a vertex to its circle
     position.  With a multidegree, edge k is constrained to t*w =
     multidegree[k]; otherwise any data with total sum(t*w) == degree
-    qualifies.  Balancing (outgoing weight sum == incoming) is enforced
-    at every vertex, and no vertex may exceed the degree on either
-    side, since a fiber of the cover has total weight `degree`.
+    qualifies.  An edge with t = 0 runs from its lower slot to its
+    higher one.  Balancing (outgoing weight sum == incoming) holds at
+    every vertex, and no vertex may exceed the degree on either side,
+    since a fiber of the cover has total weight `degree`.
+
+    Edges are decided in the given order.  The last open edge at a
+    vertex does not search its weight: balance forces it (in - out at
+    its tail, out - in at its head), and with a > 0 it must divide a.
     """
-    num_vertices = len(slot_of)
-    remaining = [0] * num_vertices
-    for u, v in edges:
-        remaining[u] += 1
-        remaining[v] += 1
+    num_vertices = len(slots)
+    # remaining[x]: flags at x whose edge is still open
+    remaining = [sum(e.count(x) for e in edges) for x in range(num_vertices)]
     out_sum = [0] * num_vertices
     in_sum = [0] * num_vertices
     chosen = []
 
+    def weights(tail, head, cap):
+        """The weights w <= cap that the edge tail -> head may take."""
+        cap = min(cap, degree - out_sum[tail], degree - in_sum[head])
+        if tail == head:  # a loop adds w to both sides of its vertex
+            if remaining[tail] == 2 and out_sum[tail] != in_sum[tail]:
+                return ()
+            return range(1, cap + 1)
+        forced = None
+        if remaining[tail] == 1:
+            forced = in_sum[tail] - out_sum[tail]
+        if remaining[head] == 1:
+            w = out_sum[head] - in_sum[head]
+            if forced not in (None, w):
+                return ()
+            forced = w
+        if forced is None:
+            return range(1, cap + 1)
+        return (forced,) if 1 <= forced <= cap else ()
+
     def options(index, budget):
         u, v = edges[index]
-        if multidegree is not None:
-            a = multidegree[index]
-            if a == 0:
-                if u == v:
-                    return  # a loop always crosses the base point
-                tail = u if slot_of[u] < slot_of[v] else v
-                for w in range(1, degree + 1):
-                    yield w, 0, tail
-            else:
-                for w in range(1, a + 1):
-                    if a % w:
-                        continue
-                    yield w, a // w, u
-                    if u != v:
-                        yield w, a // w, v
-            return
-        if u != v:
-            tail = u if slot_of[u] < slot_of[v] else v
-            for w in range(1, degree + 1):
+        a = None if multidegree is None else multidegree[index]
+        if u != v and not a:  # t = 0 runs from the lower slot up
+            tail, head = (u, v) if slots[u] < slots[v] else (v, u)
+            for w in weights(tail, head, degree):
                 yield w, 0, tail
-        for w in range(1, budget + 1):
-            for t in range(1, budget // w + 1):
-                yield w, t, u
-                if u != v:
-                    yield w, t, v
+        if a == 0:
+            return  # a loop always crosses the base point
+        for tail, head in ((u, v),) if u == v else ((u, v), (v, u)):
+            for w in weights(tail, head, budget if a is None else a):
+                if a is None:
+                    for t in range(1, budget // w + 1):
+                        yield w, t, tail
+                elif a % w == 0:
+                    yield w, a // w, tail
 
     def search(index, used):
         if index == len(edges):
-            if multidegree is None and used != degree:
-                return
-            yield list(chosen)
+            if multidegree is not None or used == degree:
+                yield list(chosen)
             return
         u, v = edges[index]
         for w, t, tail in options(index, degree - used):
             head = v if tail == u else u
-            if out_sum[tail] + w > degree or in_sum[head] + w > degree:
-                continue
             out_sum[tail] += w
             in_sum[head] += w
             remaining[u] -= 1
             remaining[v] -= 1
-            balanced = all(
-                remaining[x] > 0 or out_sum[x] == in_sum[x]
-                for x in {u, v})
-            if balanced:
-                chosen.append((w, t, tail))
-                yield from search(index + 1, used + t * w)
-                chosen.pop()
+            chosen.append((w, t, tail))
+            yield from search(index + 1, used + t * w)
+            chosen.pop()
             out_sum[tail] -= w
             in_sum[head] -= w
             remaining[u] += 1
@@ -175,8 +192,7 @@ def _assignments(edges, slot_of, degree, multidegree=None):
 def labeled_cover_assignments(shape: FeynmanGraph, order, multidegree):
     """Admissible (w, t, tail) data per edge for a fixed (order, a)."""
     edges = shape.graph.edges
-    num_vertices = shape.num_vertices
-    if sorted(order) != list(range(num_vertices)):
+    if sorted(order) != list(range(shape.num_vertices)):
         raise ArgumentError("order must list every vertex exactly once")
     if len(multidegree) != len(edges):
         raise ArgumentError("multidegree needs one entry per edge")
@@ -185,18 +201,14 @@ def labeled_cover_assignments(shape: FeynmanGraph, order, multidegree):
     degree = sum(multidegree)
     if degree == 0:
         return
-    slot_of = [0] * num_vertices
-    for slot, vertex in enumerate(order):
-        slot_of[vertex] = slot
-    yield from _assignments(edges, slot_of, degree, multidegree)
+    yield from _assignments(edges, slot_of(order), degree, multidegree)
 
 
 def count_labeled_covers(shape: FeynmanGraph, order, multidegree) -> int:
     """N_{a,Omega}: weighted labeled covers with the given multidegree."""
-    total = 0
-    for data in labeled_cover_assignments(shape, order, multidegree):
-        total += math.prod(w for w, _, _ in data)
-    return total
+    return sum(math.prod(w for w, _, _ in data)
+               for data in labeled_cover_assignments(shape, order,
+                                                     multidegree))
 
 
 # -- unlabeled covers --------------------------------------------------------
@@ -225,10 +237,8 @@ class EllipticCover:
 
     def multiplicity(self) -> Fraction:
         """prod(w) over the symmetries permuting identical edges."""
-        counts = {}
-        for e in self.edges:
-            counts[e] = counts.get(e, 0) + 1
-        sym = math.prod(math.factorial(c) for c in counts.values())
+        sym = math.prod(math.factorial(c)
+                        for c in Counter(self.edges).values())
         return Fraction(self.weight_product(), sym)
 
     def reflected(self) -> "EllipticCover":
@@ -277,66 +287,75 @@ def enumerate_elliptic_covers(degree, genus, force=False):
     deduplicating on the decorated position graph; a relabeling of the
     source induces exactly this identification.
     """
-    d, g = int(degree), int(genus)
-    if d < 1:
-        raise ArgumentError("degree must be positive")
-    if g < 2:
-        raise ArgumentError("genus must be at least 2")
-    _check_size(d, g, force)
+    d, g = _checked_size(degree, genus, force)
     found = {}
     for shape in enumerate_feynman_graphs(g):
         edges = shape.graph.edges
         for order in itertools.permutations(range(shape.num_vertices)):
-            slot_of = [0] * shape.num_vertices
-            for slot, vertex in enumerate(order):
-                slot_of[vertex] = slot
-            for data in _assignments(edges, slot_of, d):
+            slots = slot_of(order)
+            for data in _assignments(edges, slots, d):
                 key = tuple(sorted(
-                    (slot_of[tail], slot_of[v if tail == u else u], w, t)
+                    (slots[tail], slots[v if tail == u else u], w, t)
                     for (u, v), (w, t, tail) in zip(edges, data)))
                 found[key] = EllipticCover(g, key)
     covers = sorted(found.values(), key=lambda c: c.edges)
     return covers
 
 
-def labeled_aggregate(degree, genus, force=False):
-    """Per-shape labeled totals: [(shape, |Aut|, sum over orders and a)]."""
-    d, g = int(degree), int(genus)
-    if d < 1:
-        raise ArgumentError("degree must be positive")
-    if g < 2:
-        raise ArgumentError("genus must be at least 2")
-    _check_size(d, g, force)
+def labeled_table(degree, genus, force=False):
+    """N_{a,Omega} for every shape, vertex order and multidegree.
+
+    One row (shape, |Aut|, orders) per shape; orders holds (order,
+    counts) for each vertex order, and counts the nonzero
+    (multidegree, N_{a,Omega}) pairs in the order of compositions_of.
+    """
+    d, g = _checked_size(degree, genus, force)
     rows = []
     for shape in enumerate_feynman_graphs(g):
-        aut = automorphism_group_order(shape.graph)
-        total = 0
-        num_edges = shape.num_edges
+        orders = []
         for order in itertools.permutations(range(shape.num_vertices)):
-            for multidegree in compositions_of(d, num_edges):
-                total += count_labeled_covers(shape, order, multidegree)
-        rows.append((shape, aut, total))
+            counts = []
+            for multidegree in compositions_of(d, shape.num_edges):
+                count = count_labeled_covers(shape, order, multidegree)
+                if count:
+                    counts.append((multidegree, count))
+            orders.append((order, counts))
+        rows.append((shape, automorphism_group_order(shape.graph), orders))
     return rows
 
 
-def simple_hurwitz_tropical(degree, genus, force=False) -> Fraction:
-    """N_{d,g}: the weighted count of degree-d genus-g covers.
+def _labeled_total(orders):
+    return sum(count for _, counts in orders for _, count in counts)
 
-    Computed by direct enumeration and by the labeled aggregation
-    sum over shapes of 1/|Aut| sum over orders and multidegrees;
-    the routes must agree.
+
+def labeled_aggregate(degree, genus, force=False):
+    """Per-shape labeled totals: [(shape, |Aut|, sum over orders and a)]."""
+    return [(shape, aut, _labeled_total(orders))
+            for shape, aut, orders in labeled_table(degree, genus, force)]
+
+
+def simple_hurwitz_routes(degree, genus, force=False):
+    """N_{d,g} and the labeled_table it was checked against.
+
+    The direct route sums the multiplicities of the enumerated covers;
+    the labeled route sums each shape's labeled total over |Aut|.  The
+    routes must agree.
     """
+    table = labeled_table(degree, genus, force)
     covers = enumerate_elliptic_covers(degree, genus, force)
     direct = sum((c.multiplicity() for c in covers), Fraction(0))
-    labeled = sum((Fraction(total, aut)
-                   for _, aut, total in labeled_aggregate(degree, genus,
-                                                          force)),
-                  Fraction(0))
+    labeled = sum((Fraction(_labeled_total(orders), aut)
+                   for _, aut, orders in table), Fraction(0))
     if direct != labeled:
         raise CrossCheckError(
             f"cover enumeration gives {direct} but labeled aggregation "
             f"gives {labeled} for degree {degree}, genus {genus}")
-    return direct
+    return direct, table
+
+
+def simple_hurwitz_tropical(degree, genus, force=False) -> Fraction:
+    """N_{d,g}, cross-checked by simple_hurwitz_routes."""
+    return simple_hurwitz_routes(degree, genus, force)[0]
 
 
 def loop_graphs_admit_no_cover(degree, genus, force=False) -> bool:
@@ -345,19 +364,11 @@ def loop_graphs_admit_no_cover(degree, genus, force=False) -> bool:
     Balancing at a loop's vertex forces the third flag to weight 0, so
     the expected answer is always True; the search is still performed.
     """
-    d, g = int(degree), int(genus)
-    if d < 1:
-        raise ArgumentError("degree must be positive")
-    if g < 2:
-        raise ArgumentError("genus must be at least 2")
-    _check_size(d, g, force)
+    d, g = _checked_size(degree, genus, force)
     loop_shapes = [m for m in trivalent_classes(g, allow_loops=True)
                    if any(u == v for u, v in m.edges)]
     for shape in loop_shapes:
         for order in itertools.permutations(range(shape.num_vertices)):
-            slot_of = [0] * shape.num_vertices
-            for slot, vertex in enumerate(order):
-                slot_of[vertex] = slot
-            for _ in _assignments(shape.edges, slot_of, d):
+            for _ in _assignments(shape.edges, slot_of(order), d):
                 return False
     return len(loop_shapes) > 0

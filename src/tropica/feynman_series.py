@@ -24,6 +24,7 @@ from .elliptic_covers import (FeynmanGraph, enumerate_feynman_graphs,
                               simple_hurwitz_tropical)
 from .errors import ArgumentError
 from .graphs import automorphism_group_order
+from .util import slot_of
 
 
 def sigma(n) -> int:
@@ -176,18 +177,6 @@ class TruncatedSeries:
                 out.terms[((), q_exps)] = coeff
         return out
 
-    def to_single_q(self) -> "TruncatedSeries":
-        """Identify all q variables, keeping total degree."""
-        out = TruncatedSeries(self.num_x, 1, self.x_bound, self.q_bound)
-        for (x_exps, q_exps), coeff in self.terms.items():
-            key = (x_exps, (sum(q_exps),))
-            total = out.terms.get(key, 0) + coeff
-            if total:
-                out.terms[key] = total
-            else:
-                out.terms.pop(key, None)
-        return out
-
     def ordered_terms(self):
         """Terms sorted by total q-degree, then exponents."""
         return sorted(self.terms.items(),
@@ -268,42 +257,52 @@ def propagator_factor(k1, k2, lower, q_var, d, num_x, num_q,
     return series
 
 
-def refined_integral(shape: FeynmanGraph, order, d) -> TruncatedSeries:
+def _integral(shape: FeynmanGraph, order, d, coarse) -> TruncatedSeries:
     """x-constant part of the product of all edge factors.
 
-    Returns a series in the edge variables only, with nonnegative
-    integer coefficients; the coefficient of prod q_k^{2 a_k} is the
-    weighted count of labeled covers of multidegree a.  Vertices are
-    eliminated one at a time: once every factor touching a vertex has
-    been multiplied in, only the degree-0 slice in that variable can
-    still reach the constant term.
+    Each edge k gets its own variable q_k, or with coarse=True all edges
+    share one q.  Vertices are eliminated one at a time: once every
+    factor touching a vertex has been multiplied in, only the degree-0
+    slice in that variable can still reach the constant term.
     """
     edges = shape.graph.edges
     num_x = shape.num_vertices
-    num_q = shape.num_edges
+    num_q = 1 if coarse else shape.num_edges
     if sorted(order) != list(range(num_x)):
         raise ArgumentError("order must list every vertex exactly once")
     if d < 0:
         raise ArgumentError("truncation degree is nonnegative")
-    slot_of = [0] * num_x
-    for slot, vertex in enumerate(order):
-        slot_of[vertex] = slot
+    slots = slot_of(order)
     acc = TruncatedSeries.constant(1, num_x, num_q, 6 * d, 2 * d)
     done = [False] * len(edges)
     for vertex in order:
         for k, (u, v) in enumerate(edges):
             if done[k] or vertex not in (u, v):
                 continue
-            lower = u if slot_of[u] < slot_of[v] else v
-            acc = acc * propagator_factor(u, v, lower, k, d, num_x, num_q)
+            lower = u if slots[u] < slots[v] else v
+            acc = acc * propagator_factor(u, v, lower, 0 if coarse else k,
+                                          d, num_x, num_q)
             done[k] = True
         acc = acc.project_x_zero(vertex)
     return acc.x_constant_part()
 
 
+def refined_integral(shape: FeynmanGraph, order, d) -> TruncatedSeries:
+    """x-constant part of the edge product, with one q_k per edge.
+
+    The coefficient of prod q_k^{2 a_k}, a nonnegative integer, is the
+    weighted count of labeled covers of multidegree a.
+    """
+    return _integral(shape, order, d, coarse=False)
+
+
 def coarse_integral(shape: FeynmanGraph, order, d) -> TruncatedSeries:
-    """The refined integral with all edge variables identified."""
-    return refined_integral(shape, order, d).to_single_q()
+    """The refined integral with all edge variables identified.
+
+    Built in one q from the start: q_k -> q is a ring map commuting with
+    the product, the x-projection and the total-degree truncation.
+    """
+    return _integral(shape, order, d, coarse=True)
 
 
 @dataclass(frozen=True)

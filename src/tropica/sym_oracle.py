@@ -28,6 +28,7 @@ from itertools import permutations
 
 from .errors import ArgumentError, SizeGuardError
 from .graphs import Partition
+from .util import partitions_of
 
 LINE_DEGREE_GUARD = 6
 ELLIPTIC_DEGREE_GUARD = 5
@@ -74,16 +75,7 @@ def _class_size(parts) -> int:
 @lru_cache(maxsize=None)
 def _all_types(d):
     """All cycle types of S_d, sorted."""
-
-    def rec(n, max_part):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, max_part), 0, -1):
-            for rest in rec(n - first, first):
-                yield (first,) + rest
-
-    return tuple(sorted(rec(d, d)))
+    return tuple(sorted(partitions_of(d)))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 """Small shared helpers: exact rational formatting, integer partitions,
-compositions, and a linear extension counter for small posets.
+compositions, vertex slots, and linear extension counts of small posets.
 """
 
 from fractions import Fraction
@@ -54,6 +54,14 @@ def compositions_of(n: int, length: int):
     for first in range(n + 1):
         for rest in compositions_of(n - first, length - 1):
             yield (first,) + rest
+
+
+def slot_of(order):
+    """Invert a vertex order: slot_of(order)[vertex] is its position."""
+    slots = [0] * len(order)
+    for slot, vertex in enumerate(order):
+        slots[vertex] = slot
+    return slots
 
 
 def linear_extension_count(n: int, relations) -> int:

@@ -1,12 +1,13 @@
 """Deliberately naive reference implementations used as test oracles.
 
 Everything here favors transparency over speed: brute-force dart
-permutations, stub matchings, and direct permutation-tuple counts.
-Keep inputs tiny.
+permutations, stub matchings, direct permutation-tuple counts, and a
+product over per-edge choices of elliptic edge data.  Keep inputs tiny.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 from tropica.graphs import Multigraph, canonical_key
@@ -256,3 +257,53 @@ def elliptic_genus_two_content_sum(degree) -> int:
                      for k in range(1, d))
         connected.append(total)
     return connected[degree]
+
+
+# -- elliptic edge data ---------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _balanced_edge_data(edges, num_vertices, degree):
+    """Balanced (w, t, tail) data per edge with sum(t*w) == degree.
+
+    Grouped by multidegree (t*w per edge); the direction rule is left
+    to the caller.  Every point of the circle has fiber degree `degree`,
+    so no edge is heavier than that: w <= degree bounds the product.
+    """
+    # a choice's code is w * (base^tail - base^head); the codes sum to 0
+    # exactly when every vertex balances, as |out - in| < base / 2
+    base = 8 * degree + 1
+    choices = []
+    for u, v in edges:
+        tails = (u,) if u == v else (u, v)
+        choices.append([(w * (base ** tail - base ** (v if tail == u else u)),
+                         w, tail)
+                        for w in range(1, degree + 1) for tail in tails])
+    by_multidegree = {}
+    for choice in product(*choices):
+        codes, weights, tails = zip(*choice)
+        if sum(codes):  # some vertex is unbalanced
+            continue
+        for ts in product(*(range(degree // w + 1) for w in weights)):
+            a = tuple(t * w for t, w in zip(ts, weights))
+            if sum(a) == degree:
+                by_multidegree.setdefault(a, []).append(
+                    tuple(zip(weights, ts, tails)))
+    return by_multidegree
+
+
+def naive_edge_data(edges, slot_of, degree, multidegree=None):
+    """The set of edge-data tuples a cover search must find, by brute force.
+
+    The product over per-edge choices (w, t, tail) with w <= degree,
+    filtered by balance at every vertex, by sum(t*w) == degree (or t*w
+    equal to the multidegree entry), and by the rule that an edge with
+    t = 0 runs from its lower slot to its higher one.  Shares no code
+    with the library's search.
+    """
+    edges = tuple(tuple(e) for e in edges)
+    groups = _balanced_edge_data(edges, len(slot_of), degree)
+    if multidegree is not None:
+        groups = {tuple(multidegree): groups.get(tuple(multidegree), [])}
+    return {data for found in groups.values() for data in found
+            if all(t > 0 or slot_of[tail] < slot_of[u + v - tail]
+                   for (u, v), (_, t, tail) in zip(edges, data))}

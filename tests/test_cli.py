@@ -1,3 +1,4 @@
+import itertools
 import json
 import shutil
 import subprocess
@@ -6,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from tropica import cli
+from tropica import cli, elliptic_covers
 from tropica.cli import main
 from tropica.errors import LoopContractionError
 from tropica.feynman_series import MirrorRow
+from tropica.util import compositions_of
 
 THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
 
@@ -85,6 +87,44 @@ def test_elliptic_json_structure(capsys):
         assert order["total"] == sum(entry["count"]
                                      for entry in order["multidegrees"])
         assert all(entry["count"] > 0 for entry in order["multidegrees"])
+
+
+def test_elliptic_runs_one_labeled_sweep(capsys, monkeypatch):
+    calls = []
+    count = elliptic_covers.count_labeled_covers
+
+    def counted(shape, order, multidegree):
+        calls.append((shape, tuple(order), tuple(multidegree)))
+        return count(shape, order, multidegree)
+
+    monkeypatch.setattr(elliptic_covers, "count_labeled_covers", counted)
+    code, _, _ = run(capsys, "elliptic", "--degree", "3", "--genus", "2",
+                     "--json")
+    assert code == 0
+    expected = [(shape, order, a)
+                for shape in elliptic_covers.enumerate_feynman_graphs(2)
+                for order in itertools.permutations(range(2))
+                for a in compositions_of(3, 3)]
+    assert len(expected) == 20
+    assert sorted(calls, key=repr) == sorted(expected, key=repr)
+
+
+def test_elliptic_oracle_mismatch_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr("tropica.cli.hurwitz_elliptic",
+                        lambda degree, genus: Fraction(17))
+    code, out, err = run(capsys, "elliptic", "--degree", "3", "--genus", "2")
+    assert (code, out) == (4, "")
+    assert "S_d monodromy count gives 17" in err
+
+
+def test_elliptic_direct_route_mismatch_exits_4(capsys, monkeypatch):
+    enumerate_covers = elliptic_covers.enumerate_elliptic_covers
+    monkeypatch.setattr(elliptic_covers, "enumerate_elliptic_covers",
+                        lambda d, g, force=False:
+                        enumerate_covers(d, g, force)[1:])
+    code, out, err = run(capsys, "elliptic", "--degree", "3", "--genus", "2")
+    assert (code, out) == (4, "")
+    assert "cover enumeration gives" in err
 
 
 def test_oracle_values(capsys):

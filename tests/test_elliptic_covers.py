@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from tropica.elliptic_covers import (FeynmanGraph, count_labeled_covers,
+from tropica.elliptic_covers import (FeynmanGraph, _assignments,
+                                     count_labeled_covers,
                                      enumerate_elliptic_covers,
                                      enumerate_feynman_graphs,
                                      labeled_aggregate,
@@ -17,6 +18,9 @@ from tropica.elliptic_covers import (FeynmanGraph, count_labeled_covers,
 from tropica.errors import ArgumentError, SizeGuardError
 from tropica.graphs import Multigraph
 from tropica.sym_oracle import hurwitz_elliptic
+from tropica.util import compositions_of, slot_of
+
+from helpers import naive_edge_data
 
 THETA = Multigraph(2, [(0, 1), (0, 1), (0, 1)])
 CATERPILLAR = Multigraph(4, [(0, 2), (0, 1), (0, 1), (1, 3), (2, 3), (2, 3)])
@@ -223,6 +227,28 @@ def test_assignment_properties():
             assert sum(w * t for w, t, _ in data) == degree
             for a, (w, t, _) in zip(multidegree, data):
                 assert w * t == a
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_assignments_match_brute_force(genus):
+    # every 3-valent shape, loops included, and every vertex order; the
+    # reordered caterpillar closes vertices 0 and 1 with one edge while
+    # 2 and 3 are still open
+    shapes = [m.edges for m in trivalent_classes(genus, allow_loops=True)]
+    if genus == 3:
+        shapes.append(((0, 2), (1, 3), (0, 1), (0, 1), (2, 3), (2, 3)))
+    for edges in shapes:
+        for order in itertools.permutations(range(2 * genus - 2)):
+            slots = slot_of(order)
+            problems = [(d, None) for d in range(1, 5)]
+            problems += [(d, a) for d in range(1, 4)
+                         for a in compositions_of(d, len(edges))]
+            for d, a in problems:
+                found = [tuple(data)
+                         for data in _assignments(edges, slots, d, a)]
+                assert len(found) == len(set(found))
+                assert set(found) == naive_edge_data(edges, slots, d, a), \
+                    (edges, order, d, a)
 
 
 def test_argument_errors():

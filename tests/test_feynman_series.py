@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,21 @@ def test_coarse_integral():
                    if sum(q) == power)
         assert coarse.coefficient(q_exps=(power,)) == want
     assert all(q[0] % 2 == 0 for _, q in coarse.terms)
+
+
+def test_coarse_integral_is_the_collapsed_refined_integral():
+    shapes = [THETA] + enumerate_feynman_graphs(3)
+    assert len(shapes) == 3
+    for shape in shapes:
+        for order in itertools.permutations(range(shape.num_vertices)):
+            for d in range(5):
+                collapsed = Counter()
+                for (x, q), c in refined_integral(shape, order,
+                                                  d).terms.items():
+                    collapsed[x, (sum(q),)] += c
+                coarse = coarse_integral(shape, order, d)
+                assert coarse.shape() == (0, 1, 0, 2 * d)
+                assert coarse.terms == collapsed
 
 
 def test_theta_order_symmetry():
