@@ -3,8 +3,7 @@
 One subcommand per computation family, plus shared flags: --json or
 --csv select the output format (default is terse text), --cache-dir
 enables an on-disk result cache, --force overrides size guards where
-the library supports it, and --threads is accepted for interface
-stability (all computations are deterministic and single-process).
+the library supports it.
 
 Exit codes: 0 success, 2 argument error, 3 size-guard refusal,
 4 cross-check failure.
@@ -216,6 +215,8 @@ def _run_moduli(args):
     if top != expected:
         raise CrossCheckError(
             f"max dimension {top} disagrees with 3g-3+n = {expected}")
+    poset = build_poset(types) if args.poset else None
+    folded = poset.folded if poset else [is_folded(t.graph) for t in types]
     payload = {
         "genus": args.genus,
         "marks": args.marks,
@@ -224,11 +225,10 @@ def _run_moduli(args):
         "types": [{
             "graph": t.key,
             "dimension": t.dimension,
-            "folded": is_folded(t.graph),
-        } for t in types],
+            "folded": flag,
+        } for t, flag in zip(types, folded)],
     }
-    if args.poset:
-        poset = build_poset(types)
+    if poset:
         payload["covers"] = [[lower, upper]
                              for lower, upper in poset.covers]
     return payload
@@ -430,8 +430,8 @@ _RUNNERS = {
 
 def _cache_params(args):
     """The semantic parameters of a run; format flags stay out."""
-    skip = {"command", "json", "csv", "cache_dir", "threads",
-            "list_covers", "per_graph", "poset", "dump_matrix"}
+    skip = {"command", "json", "csv", "cache_dir", "list_covers",
+            "per_graph", "poset", "dump_matrix"}
     return {key: value for key, value in sorted(vars(args).items())
             if key not in skip}
 
@@ -471,8 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit a CSV table")
     common.add_argument("--cache-dir", metavar="PATH",
                         help="cache computed results under PATH")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker count (accepted; runs single-process)")
     common.add_argument("--force", action="store_true",
                         help="override size guards where supported")
 
@@ -579,8 +577,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ArgumentError("--threads must be at least 1")
         runner = _RUNNERS[args.command][0]
         payload = _with_cache(args, lambda: runner(args))
         if args.command == "graph-complex" and args.dump_matrix:

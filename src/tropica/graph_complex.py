@@ -18,26 +18,14 @@ from fractions import Fraction
 from .errors import ArgumentError, SizeGuardError
 from .graphs import (Multigraph, automorphisms, canonical_form, contract_edge,
                      enumerate_graphs, parse_graph, serialize)
-from .util import partitions_of
+from .util import cycle_type, partitions_of
 
 GENUS_GUARD = 4
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        cursor = start
-        while not seen[cursor]:
-            seen[cursor] = True
-            cursor = perm[cursor]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1: a permutation's parity is that of n minus its cycle count."""
+    return -1 if (len(perm) - len(cycle_type(perm))) % 2 else 1
 
 
 def normalize(graph: Multigraph, edge_order):

@@ -10,11 +10,16 @@ The module provides canonical forms, automorphism counting, enumeration
 of isomorphism classes with prescribed valences, edge contraction, and
 the local balancing / defect checks used by the cover-counting modules.
 Everything is exact integer combinatorics.
+
+Canonical labelling is one brute-force pass, _search, over the
+relabelings that keep the refined vertex color classes in order;
+canonical_form and automorphisms both read their answer off it.
 """
 
 from itertools import permutations, product
 
 from .errors import ArgumentError, LoopContractionError
+from .util import slot_of
 
 
 class Partition:
@@ -146,9 +151,6 @@ class Multigraph:
             m[e] = m.get(e, 0) + 1
         return m
 
-    def leg_labels_at(self, v: int):
-        return tuple(sorted(label for w, label in self.legs if w == v))
-
     def is_connected(self) -> bool:
         n = self.num_vertices
         if n == 1:
@@ -269,6 +271,12 @@ def parse_graph(text: str) -> Multigraph:
 
 # -- canonical form and automorphisms ------------------------------------
 
+def _ranks(keys):
+    """Replace each key by the rank of its value among the distinct keys."""
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
 def _refined_colors(g: Multigraph):
     """Stable vertex coloring refined by neighbor colors.
 
@@ -276,27 +284,31 @@ def _refined_colors(g: Multigraph):
     canonically (they are ranks of sorted invariant keys).
     """
     n = g.num_vertices
-    mult = g.multiplicities()
-    keys = [
-        (g.genus[v], g.valence(v), mult.get((v, v), 0), g.leg_labels_at(v))
+    valence = [0] * n
+    loops = [0] * n
+    labels = [[] for _ in range(n)]
+    nbrs = [[] for _ in range(n)]
+    for (a, b), m in g.multiplicities().items():
+        if a == b:
+            loops[a] = m
+            valence[a] += 2 * m
+        else:
+            valence[a] += m
+            valence[b] += m
+            nbrs[a].append((b, m))
+            nbrs[b].append((a, m))
+    for v, label in g.legs:
+        valence[v] += 1
+        labels[v].append(label)
+    colors = _ranks([
+        (g.genus[v], valence[v], loops[v], tuple(sorted(labels[v])))
         for v in range(n)
-    ]
-    order = sorted(set(keys))
-    colors = [order.index(k) for k in keys]
+    ])
     while True:
-        new_keys = []
-        for v in range(n):
-            nbrs = []
-            for (a, b), m in mult.items():
-                if a == b:
-                    continue
-                if a == v:
-                    nbrs.append((colors[b], m))
-                elif b == v:
-                    nbrs.append((colors[a], m))
-            new_keys.append((colors[v], tuple(sorted(nbrs))))
-        order = sorted(set(new_keys))
-        new_colors = [order.index(k) for k in new_keys]
+        new_colors = _ranks([
+            (colors[v], tuple(sorted((colors[w], m) for w, m in nbrs[v])))
+            for v in range(n)
+        ])
         if new_colors == colors:
             return colors
         colors = new_colors
@@ -334,6 +346,24 @@ def _class_permutations(colors):
         yield tuple(perm)
 
 
+def _search(g: Multigraph):
+    """The least signature of g and every permutation that reaches it.
+
+    Returns (signature, ties) with ties in search order.  Refined colors
+    are invariant under isomorphism, so every automorphism maps each
+    color class to itself and the ties are exactly best o Aut(g), where
+    best = ties[0].
+    """
+    best_sig, ties = None, []
+    for perm in _class_permutations(_refined_colors(g)):
+        sig = _signature(g, perm)
+        if best_sig is None or sig < best_sig:
+            best_sig, ties = sig, [perm]
+        elif sig == best_sig:
+            ties.append(perm)
+    return best_sig, ties
+
+
 def canonical_form(g: Multigraph):
     """Canonical representative and a relabeling that reaches it.
 
@@ -342,16 +372,8 @@ def canonical_form(g: Multigraph):
     the canonical graph stores edges and legs sorted.  Two graphs are
     isomorphic exactly when their canonical graphs are equal.
     """
-    colors = _refined_colors(g)
-    best_sig = None
-    best_perm = None
-    for perm in _class_permutations(colors):
-        sig = _signature(g, perm)
-        if best_sig is None or sig < best_sig:
-            best_sig = sig
-            best_perm = perm
-    n, genus, edges, legs = best_sig
-    return Multigraph(n, edges, legs, genus), best_perm
+    (n, genus, edges, legs), ties = _search(g)
+    return Multigraph(n, edges, legs, genus), ties[0]
 
 
 def canonical_key(g: Multigraph) -> str:
@@ -362,44 +384,14 @@ def canonical_key(g: Multigraph) -> str:
 def automorphisms(g: Multigraph):
     """All vertex permutations preserving edges, legs, and genus.
 
+    Read off the canonical-form search: each tie p gives best^-1 o p.
     Half-edge symmetries (loop flips, parallel edge swaps, unlabeled leg
     swaps) are not enumerated here; automorphism_group_order accounts
     for them by a product of local factors.
     """
-    colors = _refined_colors(g)
-    mult = g.multiplicities()
-    n = g.num_vertices
-    groups = {}
-    for v in range(n):
-        groups.setdefault(colors[v], []).append(v)
-
-    found = []
-    for arrangement in product(
-        *(permutations(grp) for grp in (groups[c] for c in sorted(groups)))
-    ):
-        perm = [0] * n
-        ok = True
-        for grp, images in zip((groups[c] for c in sorted(groups)), arrangement):
-            for v, w in zip(grp, images):
-                perm[v] = w
-        for v in range(n):
-            if g.genus[perm[v]] != g.genus[v]:
-                ok = False
-                break
-            if g.leg_labels_at(perm[v]) != g.leg_labels_at(v):
-                ok = False
-                break
-        if ok:
-            for (u, v), m in mult.items():
-                a, b = perm[u], perm[v]
-                if a > b:
-                    a, b = b, a
-                if mult.get((a, b), 0) != m:
-                    ok = False
-                    break
-        if ok:
-            found.append(tuple(perm))
-    return found
+    _, ties = _search(g)
+    back = slot_of(ties[0])
+    return [tuple(back[w] for w in perm) for perm in ties]
 
 
 def automorphism_group_order(g: Multigraph) -> int:
@@ -533,9 +525,8 @@ def enumerate_graphs(num_vertices, degree_sequence, num_legs=0,
                 continue
             if not g.is_connected():
                 continue
-            key = canonical_key(g)
-            if key not in reps:
-                reps[key] = canonical_form(g)[0]
+            canon = canonical_form(g)[0]
+            reps.setdefault(serialize(canon), canon)
     return [reps[key] for key in sorted(reps)]
 
 

@@ -28,27 +28,11 @@ from itertools import permutations
 
 from .errors import ArgumentError, SizeGuardError
 from .graphs import Partition
-from .util import partitions_of
+from .util import cycle_type, partitions_of
 
 LINE_DEGREE_GUARD = 6
 ELLIPTIC_DEGREE_GUARD = 5
 ELLIPTIC_GENUS_GUARD = 3
-
-
-def _cycle_type(perm):
-    seen = [False] * len(perm)
-    lengths = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        n = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            n += 1
-        lengths.append(n)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def _class_rep(parts):
@@ -95,7 +79,7 @@ def _transposition_step(d):
                 image = list(rep)
                 # left-multiply by the transposition (a b)
                 image = [b if x == a else a if x == b else x for x in image]
-                step[i][index[_cycle_type(tuple(image))]] += 1
+                step[i][index[cycle_type(tuple(image))]] += 1
     return step
 
 
@@ -228,7 +212,7 @@ def _commutator_distribution(d):
             for i, v in enumerate(beta):
                 inv_beta[v] = i
             comm = tuple(alpha[beta[inv_alpha[inv_beta[x]]]] for x in range(d))
-            dist[_cycle_type(comm)] += weight
+            dist[cycle_type(comm)] += weight
     return dist
 
 

@@ -1,5 +1,6 @@
 """Small shared helpers: exact rational formatting, integer partitions,
-compositions, vertex slots, and linear extension counts of small posets.
+compositions, vertex slots, cycle types, and linear extension counts of
+small posets.
 """
 
 from fractions import Fraction
@@ -13,14 +14,6 @@ def frac_str(value) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(text: str) -> Fraction:
-    """Parse the 'p' / 'p/q' format produced by frac_str."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ArgumentError(f"not a rational number: {text!r}") from exc
 
 
 def partitions_of(n: int, max_part: int | None = None):
@@ -62,6 +55,23 @@ def slot_of(order):
     for slot, vertex in enumerate(order):
         slots[vertex] = slot
     return slots
+
+
+def cycle_type(perm):
+    """Cycle lengths of a permutation of 0..n-1, weakly decreasing."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        cursor = start
+        while not seen[cursor]:
+            seen[cursor] = True
+            cursor = perm[cursor]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def linear_extension_count(n: int, relations) -> int:

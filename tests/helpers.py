@@ -1,7 +1,7 @@
 """Deliberately naive reference implementations used as test oracles.
 
-Everything here favors transparency over speed: brute-force dart
-permutations, stub matchings, direct permutation-tuple counts, and a
+Everything here favors transparency over speed: brute-force dart and
+vertex permutations, stub matchings, direct permutation-tuple counts, and a
 product over per-edge choices of elliptic edge data.  Keep inputs tiny.
 """
 
@@ -60,6 +60,29 @@ def halfedge_aut_order(g: Multigraph) -> int:
             continue
         count += 1
     return count
+
+
+def brute_force_automorphisms(g: Multigraph):
+    """Vertex automorphisms (perm[old] = new) by trying all n! permutations.
+
+    A permutation counts when it maps the edge multiset, the leg multiset
+    of (vertex, label) pairs and the vertex genera onto themselves.
+    """
+    n = g.num_vertices
+    edges = sorted(g.edges)
+    legs = sorted(g.legs)
+    found = set()
+    for perm in permutations(range(n)):
+        if any(g.genus[perm[v]] != g.genus[v] for v in range(n)):
+            continue
+        moved = sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
+                       for u, v in g.edges)
+        if moved != edges:
+            continue
+        if sorted((perm[v], label) for v, label in g.legs) != legs:
+            continue
+        found.add(perm)
+    return found
 
 
 # -- stub matching enumeration --------------------------------------------

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from tropica import cli, elliptic_covers
+from tropica import cli, elliptic_covers, moduli_space
 from tropica.cli import main
 from tropica.errors import LoopContractionError
 from tropica.feynman_series import MirrorRow
+from tropica.graphs import serialize
 from tropica.util import compositions_of
 
 THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
@@ -252,6 +253,26 @@ def test_moduli_output(capsys):
     assert sum(1 for t in result["types"] if t["folded"]) == 1
 
 
+@pytest.mark.parametrize("poset", [False, True])
+def test_moduli_folds_each_type_once(capsys, monkeypatch, poset):
+    calls = []
+    folded = moduli_space.is_folded
+
+    def counted(graph):
+        calls.append(graph)
+        return folded(graph)
+
+    monkeypatch.setattr(cli, "is_folded", counted)
+    monkeypatch.setattr(moduli_space, "is_folded", counted)
+    argv = ["moduli", "--genus", "1", "--marks", "3", "--json"]
+    code, out, _ = run(capsys, *argv + ["--poset"] * poset)
+    assert code == 0
+    types = json.loads(out)["result"]["types"]
+    assert len(types) == 23
+    assert sorted(serialize(g) for g in calls) == sorted(
+        t["graph"] for t in types)
+
+
 def test_csv_outputs(capsys):
     code, out, _ = run(capsys, "mirror-check", "--genus", "2",
                        "--dmax", "2", "--csv")
@@ -344,8 +365,6 @@ def test_argument_errors_exit_2(capsys):
                "--mu", "3", "--nu", "2,2")[0] == 2
     assert run(capsys, "double-hurwitz", "--genus", "1",
                "--mu", "x", "--nu", "3")[0] == 2
-    assert run(capsys, "oracle", "line", "--genus", "1",
-               "--mu", "3", "--nu", "3", "--threads", "0")[0] == 2
     assert run(capsys, "moduli", "--genus", "0", "--marks", "2")[0] == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -362,13 +381,6 @@ def test_size_guard_and_force(capsys):
     assert out == "360\n"
     assert run(capsys, "oracle", "elliptic", "--degree", "6",
                "--genus", "2")[0] == 3
-
-
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, "oracle", "line", "--genus", "1",
-                       "--mu", "3", "--nu", "3", "--threads", "4")
-    assert code == 0
-    assert out == "2\n"
 
 
 @pytest.mark.skipif(shutil.which("tropica") is None,

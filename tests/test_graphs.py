@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from helpers import halfedge_aut_order, random_relabel, stub_matching_classes
+from helpers import (brute_force_automorphisms, halfedge_aut_order,
+                     random_relabel, stub_matching_classes)
 from tropica.errors import ArgumentError, LoopContractionError
 from tropica.graphs import (
     Multigraph,
@@ -198,6 +199,46 @@ def test_vertex_automorphisms_respect_structure():
     assert len(automorphisms(unlabeled_legs)) == 2
     labeled_legs = Multigraph(2, [(0, 1), (0, 1)], legs=[(0, 1), (1, 2)])
     assert len(automorphisms(labeled_legs)) == 1
+
+
+def test_automorphisms_match_brute_force():
+    graphs = []
+    for n, degrees, legs, loops in [
+        (2, [3, 3], 0, False),
+        (2, [4, 4], 0, True),
+        (3, [2, 2, 2], 0, False),
+        (3, [4, 3, 3], 0, True),
+        (4, [3, 3, 3, 3], 0, False),
+        (4, [3, 3, 3, 3], 0, True),
+        (4, [4, 4, 2, 2], 0, True),
+        (5, [4, 4, 4, 2, 2], 0, False),
+        (2, [3, 3], 2, False),
+        (3, [3, 2, 1], 2, True),
+        (3, [3, 3, 2], 2, False),
+    ]:
+        found = enumerate_graphs(n, degrees, legs, allow_loops=loops)
+        assert found
+        graphs.extend(found)
+    graphs += [
+        Multigraph(2, [(0, 1), (0, 1), (0, 1)], genus=[1, 0]),
+        Multigraph(3, [(0, 1), (1, 2), (0, 2)], genus=[1, 1, 0]),
+        Multigraph(4, k4().edges, genus=[2, 0, 2, 0]),
+        Multigraph(3, [(0, 1), (1, 2), (2, 2)], genus=[1, 0, 1]),
+        Multigraph(2, [(0, 1), (0, 1)], legs=[(0, 0), (1, 0)]),
+        Multigraph(3, [(0, 1), (1, 2), (0, 2)],
+                   legs=[(0, 0), (0, 0), (1, 0), (2, 0)]),
+        Multigraph(4, caterpillar().edges, legs=[(0, 0), (1, 0)]),
+        Multigraph(4, k4().edges, legs=[(0, 1), (1, 2)]),
+        Multigraph(3, [(0, 1), (1, 2), (0, 2)], legs=[(0, 1)],
+                   genus=[0, 1, 1]),
+        Multigraph(1, [(0, 0), (0, 0)], legs=[(0, 0)], genus=[1]),
+    ]
+    rng = random.Random(20261018)
+    for g in graphs:
+        for h in [g] + [random_relabel(g, rng) for _ in range(3)]:
+            auts = automorphisms(h)
+            assert len(set(auts)) == len(auts), serialize(h)
+            assert set(auts) == brute_force_automorphisms(h), serialize(h)
 
 
 def test_enumeration_matches_stub_matching():
