@@ -5,15 +5,17 @@ One subcommand per computation family, plus shared flags: --json or
 enables an on-disk result cache, --force overrides size guards where
 the library supports it.
 
-Exit codes: 0 success, 2 argument error, 3 size-guard refusal,
-4 cross-check failure.
+Exit codes: 0 success, 1 stdout closed before the output was written,
+2 argument error, 3 size-guard refusal, 4 cross-check failure.
 """
 
 import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -26,11 +28,11 @@ from .errors import (ArgumentError, CrossCheckError, LoopContractionError,
 from .feynman_series import mirror_check, refined_integral
 from .graph_complex import basis, differential_matrix, homology_dimension
 from .graphs import parse_graph, serialize
-from .line_covers import (double_hurwitz_tropical, enumerate_line_covers,
+from .line_covers import (double_hurwitz_tropical, iter_line_covers,
                           multiplicity)
 from .moduli_space import build_poset, enumerate_types, is_folded
 from .sym_oracle import (ELLIPTIC_DEGREE_GUARD, ELLIPTIC_GENUS_GUARD,
-                         hurwitz_elliptic, hurwitz_line)
+                         LINE_DEGREE_GUARD, hurwitz_elliptic, hurwitz_line)
 from .util import frac_str
 
 SCHEMA_VERSION = "tropica/1"
@@ -57,32 +59,49 @@ def _int_list(text: str):
 
 def _run_double_hurwitz(args):
     mu, nu = _partition(args.mu), _partition(args.nu)
-    covers = enumerate_line_covers(args.genus, mu, nu)
-    rows = []
-    total_from_covers = Fraction(0)
-    for cover in covers:
-        m = multiplicity(cover)
-        total_from_covers += m.value
-        rows.append({
-            "canonical": cover.canonical_text(),
-            "weightProduct": m.weight_product,
-            "forks": m.forks,
-            "wieners": m.wieners,
-            "multiplicity": frac_str(m.value),
-        })
     total = double_hurwitz_tropical(args.genus, mu, nu)
-    if total != total_from_covers:
-        raise CrossCheckError(
-            "cover enumeration and the level sweep disagree: "
-            f"{total_from_covers} vs {total}")
-    return {
+    payload = {
         "genus": args.genus,
         "mu": list(mu),
         "nu": list(nu),
         "s": 2 * args.genus - 2 + len(mu) + len(nu),
-        "covers": rows,
         "total": frac_str(total),
     }
+    # the second route: the cover list when it is asked for or when the
+    # degree is past the oracle's guard, the S_d oracle otherwise
+    if not args.list_covers and sum(mu) <= LINE_DEGREE_GUARD:
+        oracle = hurwitz_line(args.genus, mu, nu)
+        if oracle != total:
+            raise CrossCheckError(
+                f"the level sweep gives {total} but the S_d monodromy "
+                f"count gives {oracle}")
+        return payload
+    # the covers stream past one at a time: only their rows are kept
+    rows, numerators, labels = [], {}, {}
+    for cover in iter_line_covers(args.genus, mu, nu):
+        m = multiplicity(cover)
+        key = num, den = m.value.numerator, m.value.denominator
+        numerators[den] = numerators.get(den, 0) + num
+        if args.list_covers:
+            if key not in labels:  # one string per distinct value
+                labels[key] = frac_str(m.value)
+            rows.append({
+                "canonical": cover.canonical_text(),
+                "weightProduct": m.weight_product,
+                "forks": m.forks,
+                "wieners": m.wieners,
+                "multiplicity": labels[key],
+            })
+    rows.sort(key=operator.itemgetter("canonical"))
+    total_from_covers = sum(
+        (Fraction(n, d) for d, n in numerators.items()), Fraction(0))
+    if total != total_from_covers:
+        raise CrossCheckError(
+            "cover enumeration and the level sweep disagree: "
+            f"{total_from_covers} vs {total}")
+    if args.list_covers:
+        payload["covers"] = rows
+    return payload
 
 
 def _run_chambers(args):
@@ -347,7 +366,7 @@ def _csv_double_hurwitz(payload):
     header = ["canonical", "weight_product", "forks", "wieners",
               "multiplicity"]
     rows = [[r["canonical"], r["weightProduct"], r["forks"], r["wieners"],
-             r["multiplicity"]] for r in payload["covers"]]
+             r["multiplicity"]] for r in payload.get("covers", ())]
     rows.append(["total", "", "", "", payload["total"]])
     return header, rows
 
@@ -429,11 +448,17 @@ _RUNNERS = {
 # -- cache ------------------------------------------------------------------
 
 def _cache_params(args):
-    """The semantic parameters of a run; format flags stay out."""
-    skip = {"command", "json", "csv", "cache_dir", "list_covers",
-            "per_graph", "poset", "dump_matrix"}
-    return {key: value for key, value in sorted(vars(args).items())
-            if key not in skip}
+    """The parameters a run's payload depends on; format flags stay out.
+
+    --dump-matrix adds the matrix to the payload, but its path only says
+    where the matrix is written, so the key holds whether it was given.
+    """
+    skip = {"command", "json", "csv", "cache_dir", "per_graph"}
+    params = {key: value for key, value in sorted(vars(args).items())
+              if key not in skip}
+    if "dump_matrix" in params:
+        params["dump_matrix"] = params["dump_matrix"] is not None
+    return params
 
 
 def _with_cache(args, compute):
@@ -550,21 +575,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(args, payload) -> str:
+def _write(args, payload, out):
+    """Render the payload to out, ending in a newline."""
     command = args.command
     _, text_fn, csv_fn = _RUNNERS[command]
     if args.json:
         report = {"schema": SCHEMA_VERSION, "command": command,
                   "result": payload}
-        return json.dumps(report, indent=2, sort_keys=True)
-    if args.csv:
+        # written in batches of chunks rather than as one string, since a
+        # cover list runs to megabytes, and rather than chunk by chunk,
+        # since stdout may be unbuffered
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        while batch := list(itertools.islice(chunks, 4096)):
+            out.write("".join(batch))
+    elif args.csv:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         header, rows = csv_fn(payload)
         writer.writerow(header)
         writer.writerows(rows)
-        return buffer.getvalue().rstrip("\n")
-    return "\n".join(text_fn(args, payload))
+        out.write(buffer.getvalue().rstrip("\n"))
+    else:
+        out.write("\n".join(text_fn(args, payload)))
+    out.write("\n")
 
 
 def _write_matrix_file(args, payload):
@@ -581,7 +614,14 @@ def main(argv=None) -> int:
         payload = _with_cache(args, lambda: runner(args))
         if args.command == "graph-complex" and args.dump_matrix:
             _write_matrix_file(args, payload)
-        print(_render(args, payload))
+        try:
+            _write(args, payload, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left early (`| head`): point stdout at devnull so
+            # the flush at interpreter exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         if args.command == "mirror-check" and not payload["allMatch"]:
             return 4
         return 0

@@ -4,9 +4,12 @@ A cover for data (g, mu, nu) has s = -2 + 2g + len(mu) + len(nu)
 trivalent genus-0 vertices, one over each of s fixed points ordered
 left to right on the line.  Ends of weights mu point left, ends of
 weights nu point right, bounded edges join vertices on distinct levels,
-and every vertex is balanced.  Covers are enumerated by sweeping the
-levels: at each level the single vertex either merges two incoming
-strands or splits one into an unordered pair.
+and every vertex is balanced.  Covers are enumerated by a depth-first
+sweep of the levels: at each level the single vertex either merges two
+incoming strands or splits one into an unordered pair, and only the
+moves after which the open weights can still reach nu in the levels
+left are made.  The sweep yields covers one at a time, so a caller that
+keeps less than the whole cover (as the CLI does) never holds them all.
 
 Ends are unlabeled: isomorphisms preserve levels and weights only.
 The multiplicity of a cover is the product of its bounded edge weights
@@ -26,6 +29,7 @@ permuted tuple (as chamber interpolation does) pay for one sweep.
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,7 +53,7 @@ def _setup(genus, mu, nu):
     return g, mu, nu, s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineCover:
     """One isomorphism class of tropical double Hurwitz cover.
 
@@ -73,9 +77,9 @@ class LineCover:
         return out
 
     def canonical_text(self) -> str:
-        left = " ".join(f"{v}:{w}" for v, w in self.left_ends)
-        mid = " ".join(f"{u}-{v}:{w}" for u, v, w in self.bounded_edges)
-        right = " ".join(f"{v}:{w}" for v, w in self.right_ends)
+        left = " ".join([f"{v}:{w}" for v, w in self.left_ends])
+        mid = " ".join([f"{u}-{v}:{w}" for u, v, w in self.bounded_edges])
+        right = " ".join([f"{v}:{w}" for v, w in self.right_ends])
         return f"left {left} | edges {mid} | right {right}"
 
     def to_multigraph(self) -> Multigraph:
@@ -135,26 +139,16 @@ def multiplicity(cover: LineCover) -> CoverMultiplicity:
     (permutations of identical ends and identical parallel edges; the
     level pinning freezes the vertices) and the equality is asserted.
     """
-    forks = 0
-    for level in range(1, cover.num_levels + 1):
-        for ends in (cover.left_ends, cover.right_ends):
-            weights = [w for v, w in ends if v == level]
-            if len(weights) == 2 and weights[0] == weights[1]:
-                forks += 1
-    edge_counts = {}
-    for e in cover.bounded_edges:
-        edge_counts[e] = edge_counts.get(e, 0) + 1
-    wieners = 0
-    for count in edge_counts.values():
-        assert count <= 2, "trivalence bounds parallel multiplicity by 2"
-        if count == 2:
-            wieners += 1
-
+    groups = (cover.left_ends, cover.right_ends, cover.bounded_edges)
+    # trivalence allows at most two equal ends at one vertex or two
+    # parallel edges, so each repeated entry is one fork or one wiener
+    repeats = [len(items) - len(set(items)) for items in groups]
+    forks, wieners = repeats[0] + repeats[1], repeats[2]
     aut = 1
-    for counts in (edge_counts,
-                   _counts(cover.left_ends), _counts(cover.right_ends)):
-        for c in counts.values():
-            aut *= math.factorial(c)
+    for items, repeated in zip(groups, repeats):
+        if repeated:  # with no repeats every count below is 1
+            for c in Counter(items).values():
+                aut *= math.factorial(c)
     assert aut == 2 ** (forks + wieners), cover.canonical_text()
 
     product = cover.weight_product()
@@ -162,89 +156,125 @@ def multiplicity(cover: LineCover) -> CoverMultiplicity:
                              Fraction(product, aut))
 
 
-def _counts(items):
-    out = {}
-    for item in items:
-        out[item] = out.get(item, 0) + 1
-    return out
-
-
 # -- explicit enumeration --------------------------------------------------
 
 def enumerate_line_covers(genus, mu, nu):
-    """All isomorphism classes of covers for (genus, mu, nu).
+    """All isomorphism classes of covers for (genus, mu, nu), sorted by
+    canonical_text."""
+    return sorted(iter_line_covers(genus, mu, nu),
+                  key=LineCover.canonical_text)
 
-    States of the sweep are (open strands, attached left ends, bounded
-    edges) with strands tagged by their origin level (0 = still-unused
-    left end); levels pin the vertices, so equal states are equal
-    classes and set-dedup per level is exact.
+
+def iter_line_covers(genus, mu, nu):
+    """Yield each isomorphism class of cover for (genus, mu, nu) once, in
+    sweep order.
+
+    The sweep runs depth first over states (open strands, attached left
+    ends, bounded edges), with strands tagged by their origin level (0 =
+    still-unused left end).  A state records its whole history, so no
+    two paths reach the same state and no dedup is needed; levels pin
+    the vertices, so distinct final states are distinct classes.  A
+    level only makes the moves whose open weights can still reach nu in
+    exactly the levels left (see _moves).
     """
     genus, mu, nu, s = _setup(genus, mu, nu)
-    start = (tuple(sorted((0, m) for m in mu.parts)), (), ())
-    states = {start}
-    for level in range(1, s + 1):
-        nxt = set()
-        for opens, lefts, edges in states:
-            values = sorted(set(opens))
+    moves = _moves(nu.parts, s)
 
-            def consumed(strand, lefts=lefts, edges=edges, level=level):
-                origin, w = strand
-                if origin == 0:
-                    return (tuple(sorted(lefts + ((level, w),))), edges)
-                return (lefts, tuple(sorted(edges + ((origin, level, w),))))
+    def sweep(level, opens, weights, lefts, edges):
+        by_weight = {}
+        for strand in dict.fromkeys(opens):  # distinct, still in order
+            by_weight.setdefault(strand[1], []).append(strand)
+        for taken, made, after in moves[s - level].get(weights, ()):
+            for picked in _picks(taken, by_weight, opens):
+                pool = list(opens)
+                next_lefts, next_edges = lefts, edges
+                for origin, w in picked:
+                    pool.remove((origin, w))
+                    if origin:
+                        next_edges += ((origin, level, w),)
+                    else:
+                        next_lefts += ((level, w),)
+                pool = tuple(sorted(pool + [(level, w) for w in made]))
+                if level < s:
+                    yield from sweep(level + 1, pool, after, next_lefts,
+                                     next_edges)
+                # pool is sorted by origin, so an unused left end would
+                # come first; lefts needs no sort, since levels append in
+                # order and a merge takes the lighter strand first
+                elif pool[0][0] and _levels_connected(s, next_edges):
+                    yield LineCover(genus, mu.parts, nu.parts, s,
+                                    next_lefts, tuple(sorted(next_edges)),
+                                    pool)
 
-            for i, a in enumerate(values):
-                for b in values[i:]:
-                    if a == b and opens.count(a) < 2:
-                        continue
-                    pool = list(opens)
-                    pool.remove(a)
-                    pool.remove(b)
-                    lefts1, edges1 = consumed(a)
-                    lefts2, edges2 = (consumed(b, lefts1, edges1))
-                    pool.append((level, a[1] + b[1]))
-                    nxt.add((tuple(sorted(pool)), lefts2, edges2))
-            for a in values:
-                w = a[1]
-                for x in range(1, w // 2 + 1):
-                    pool = list(opens)
-                    pool.remove(a)
-                    lefts1, edges1 = consumed(a)
-                    pool.append((level, x))
-                    pool.append((level, w - x))
-                    nxt.add((tuple(sorted(pool)), lefts1, edges1))
-        states = nxt
+    yield from sweep(1, tuple(sorted((0, m) for m in mu.parts)),
+                     tuple(sorted(mu.parts)), (), ())
 
-    target = tuple(sorted(nu.parts, reverse=True))
-    covers = []
-    for opens, lefts, edges in states:
-        if any(origin == 0 for origin, _ in opens):
-            continue
-        if tuple(sorted((w for _, w in opens), reverse=True)) != target:
-            continue
-        if not _levels_connected(s, edges):
-            continue
-        covers.append(LineCover(
-            genus=genus, mu=mu.parts, nu=nu.parts, num_levels=s,
-            left_ends=lefts, bounded_edges=edges,
-            right_ends=tuple(sorted(opens))))
-    covers.sort(key=LineCover.canonical_text)
-    return covers
+
+def _picks(taken, by_weight, opens):
+    """The strand choices for taken weights: one strand, or an unordered
+    pair of strands (the same strand twice only if it is open twice)."""
+    if len(taken) == 1:
+        for strand in by_weight.get(taken[0], ()):
+            yield (strand,)
+        return
+    a, b = taken
+    firsts = by_weight.get(a, ())
+    if a != b:
+        for x in firsts:
+            for y in by_weight.get(b, ()):
+                yield x, y
+        return
+    for i, x in enumerate(firsts):
+        if opens.count(x) > 1:
+            yield x, x
+        for y in firsts[i + 1:]:
+            yield x, y
+
+
+def _moves(nu_parts, s):
+    """moves[k]: sorted weight tuples that reach nu in exactly k + 1
+    levels, each mapped to its moves (taken, made, after) into a tuple
+    `after` that reaches nu in exactly k.
+
+    A level merges two weights (taken a <= b, made a + b) or splits one
+    (taken w, made x <= w - x).  Undoing either move is a move of the
+    other kind, so each layer comes from the one before by running the
+    moves forward.  Every key is a partition of the degree.
+    """
+    layer = {tuple(sorted(nu_parts))}
+    moves = []
+    for _ in range(s):
+        table = {}
+        for after in layer:
+            for i, c in enumerate(after):
+                rest = after[:i] + after[i + 1:]
+                for a in range(1, c // 2 + 1):  # undo merging a, c - a
+                    table.setdefault(tuple(sorted(rest + (a, c - a))),
+                                     set()).add(((a, c - a), (c,), after))
+                for j in range(i + 1, len(after)):  # undo splitting
+                    x, y = c, after[j]
+                    before = rest[:j - 1] + rest[j:] + (x + y,)
+                    table.setdefault(tuple(sorted(before)), set()).add(
+                        ((x + y,), (x, y), after))
+        moves.append(table)
+        layer = set(table)
+    return moves
 
 
 def _levels_connected(s, edges) -> bool:
+    """Whether the edges join levels 1..s into one piece: each union of
+    two roots leaves one piece fewer (few levels, so no path halving)."""
     parent = list(range(s + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    pieces = s
     for u, v, _ in edges:
-        parent[find(u)] = find(v)
-    roots = {find(v) for v in range(1, s + 1)}
-    return len(roots) == 1
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            pieces -= 1
+    return pieces == 1
 
 
 # -- collapsed-state total -------------------------------------------------

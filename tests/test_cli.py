@@ -1,13 +1,15 @@
 import itertools
 import json
+import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tropica import cli, elliptic_covers, moduli_space
+from tropica import cli, elliptic_covers, line_covers, moduli_space
 from tropica.cli import main
 from tropica.errors import LoopContractionError
 from tropica.feynman_series import MirrorRow
@@ -50,11 +52,69 @@ def test_double_hurwitz_json(capsys):
     result = report["result"]
     assert result["total"] == "2"
     assert result["s"] == 2
+    assert "covers" not in result
+    code, out, _ = run(capsys, "double-hurwitz", "--genus", "1",
+                       "--mu", "3", "--nu", "3", "--list-covers", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
     assert len(result["covers"]) == 1
     cover = result["covers"][0]
     assert set(cover) == {"canonical", "weightProduct", "forks",
                           "wieners", "multiplicity"}
     assert cover["multiplicity"] == "2"
+
+
+def test_double_hurwitz_enumerates_only_when_listing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("covers enumerated without --list-covers")
+
+    monkeypatch.setattr(cli, "iter_line_covers", refuse)
+    monkeypatch.setattr(cli, "multiplicity", refuse)
+    code, out, _ = run(capsys, "double-hurwitz", "--genus", "1",
+                       "--mu", "3,2,1", "--nu", "2,2,1,1", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert "covers" not in result
+    assert result["total"] == "3069360"
+
+
+def test_double_hurwitz_oracle_mismatch_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "hurwitz_line",
+                        lambda genus, mu, nu: Fraction(-1))
+    code, out, err = run(capsys, "double-hurwitz", "--genus", "1",
+                         "--mu", "3", "--nu", "3")
+    assert code == 4
+    assert out == ""
+    assert "S_d monodromy count gives -1" in err
+
+
+def test_double_hurwitz_past_the_oracle_guard_checks_covers(
+        capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return line_covers.iter_line_covers(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran past its guard")
+
+    monkeypatch.setattr(cli, "iter_line_covers", counted)
+    monkeypatch.setattr(cli, "hurwitz_line", refuse)
+    argv = ("double-hurwitz", "--genus", "0", "--mu", "4,3",
+            "--nu", "3,2,2", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+    result = json.loads(out)["result"]
+    assert "covers" not in result
+    assert Fraction(result["total"]) == line_covers.double_hurwitz_tropical(
+        0, (4, 3), (3, 2, 2))
+    monkeypatch.setattr(cli, "double_hurwitz_tropical",
+                        lambda genus, mu, nu: Fraction(-1))
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert "cover enumeration and the level sweep disagree" in err
 
 
 def test_elliptic_value(capsys):
@@ -338,6 +398,28 @@ def test_cache_key_holds_the_package_version(tmp_path, capsys, monkeypatch):
     assert len(list(cache.iterdir())) == 2
 
 
+@pytest.mark.parametrize("argv, flag, check", [
+    (("moduli", "--genus", "1", "--marks", "3"), ("--poset",),
+     lambda out, tmp_path: "covers:" in out.splitlines()),
+    (("graph-complex", "--genus", "3", "--edges", "6"),
+     ("--dump-matrix", "matrix.txt"),
+     lambda out, tmp_path: (tmp_path / "matrix.txt").is_file()),
+    (("double-hurwitz", "--genus", "1", "--mu", "3", "--nu", "3"),
+     ("--list-covers",),
+     lambda out, tmp_path: out.startswith("mult=2 weight=2")),
+], ids=["poset", "dump-matrix", "list-covers"])
+def test_cache_key_holds_payload_flags(tmp_path, capsys, monkeypatch,
+                                       argv, flag, check):
+    # a flag that adds to the payload must not replay a run without it
+    monkeypatch.chdir(tmp_path)
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    assert run(capsys, *argv, *cache)[0] == 0
+    code, out, err = run(capsys, *argv, *flag, *cache)
+    assert (code, err) == (0, "")
+    assert check(out, tmp_path)
+    assert len(list((tmp_path / "cache").iterdir())) == 2
+
+
 def test_loop_contraction_error_exits_2(capsys, monkeypatch):
     def refuse(args):
         raise LoopContractionError("cannot contract a loop edge this way")
@@ -381,6 +463,27 @@ def test_size_guard_and_force(capsys):
     assert out == "360\n"
     assert run(capsys, "oracle", "elliptic", "--degree", "6",
                "--genus", "2")[0] == 3
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # like `tropica moduli ... --json | head -c 10`: the output is larger
+    # than a pipe buffer, so the write fails once the reader is gone
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tropica.cli", "moduli", "--genus", "1",
+         "--marks", "5", "--json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 @pytest.mark.skipif(shutil.which("tropica") is None,

@@ -1,16 +1,22 @@
 """Tests for tropical double Hurwitz covers of the line."""
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tropica.errors import ArgumentError, DegenerateInputError
-from tropica.line_covers import (LineCover, _dp_total,
+from tropica.line_covers import (LineCover, _dp_total, _moves,
                                  double_hurwitz_tropical,
-                                 enumerate_line_covers, multiplicity)
+                                 enumerate_line_covers, iter_line_covers,
+                                 multiplicity)
 from tropica.sym_oracle import hurwitz_line
 from tropica.util import partitions_of
+
+REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+             / "reference.json")
 
 
 def explicit_total(genus, mu, nu):
@@ -201,6 +207,58 @@ def test_cover_ordering_is_canonical():
     texts = [c.canonical_text() for c in covers]
     assert texts == sorted(texts)
     assert len(set(texts)) == len(texts)
+
+
+def test_sweep_order_holds_each_class_once():
+    for genus, mu, nu in ((1, (2, 2), (2, 1, 1)), (0, (2, 1, 1), (2, 1, 1)),
+                          (1, (3, 2, 1), (2, 2, 1, 1))):
+        swept = list(iter_line_covers(genus, mu, nu))
+        assert sorted(swept, key=LineCover.canonical_text) \
+            == enumerate_line_covers(genus, mu, nu)
+        assert len(set(swept)) == len(swept)
+
+
+def test_degree_six_covers_match_reference():
+    # the frozen class counts the benchmark verifies --list-covers runs
+    # against; the pairs with 5,000 classes or more are left out for time
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    checked = 0
+    for key, count in sorted(reference["double_hurwitz_covers"].items()):
+        if count >= 5000:
+            continue
+        genus, mu, nu = key.split()
+        genus = int(genus)
+        mu = tuple(int(p) for p in mu.split(","))
+        nu = tuple(int(p) for p in nu.split(","))
+        covers = enumerate_line_covers(genus, mu, nu)
+        assert len(covers) == count, key
+        assert len({c.canonical_text() for c in covers}) == count, key
+        for cover in covers:
+            cover.validate()
+        total = sum((multiplicity(c).value for c in covers), Fraction(0))
+        assert total == double_hurwitz_tropical(genus, mu, nu) \
+            == hurwitz_line(genus, mu, nu), key
+        checked += 1
+    assert checked == 14
+
+
+def test_move_table():
+    moves = _moves((2, 1, 1), 3)
+    assert len(moves) == 3
+    nu = (1, 1, 2)
+    # one level before nu: each move lands on nu, and a level changes the
+    # length, so nu itself and (1, 1, 1, 1, 1) have no move
+    assert set(moves[0]) == {(1, 1, 1, 1), (1, 3), (2, 2)}
+    assert nu not in moves[0]
+    assert all(after == nu for table in moves[0].values()
+               for _, _, after in table)
+    # the two 1s of nu give one move, not two
+    assert moves[0][(1, 3)] == {((3,), (1, 2), nu)}
+    assert moves[0][(1, 1, 1, 1)] == {((1, 1), (2,), nu)}
+    for k in range(1, 3):
+        assert all(after in moves[k - 1] for table in moves[k].values()
+                   for _, _, after in table)
+    assert all(sum(weights) == 4 for table in moves for weights in table)
 
 
 def test_input_validation():
