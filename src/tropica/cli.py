@@ -12,12 +12,12 @@ Exit codes: 0 success, 1 stdout closed before the output was written,
 import argparse
 import csv
 import hashlib
-import io
 import itertools
 import json
 import operator
 import os
 import sys
+import types
 from fractions import Fraction
 
 from . import __version__
@@ -171,7 +171,8 @@ def _run_feynman(args):
     if sorted(order) != list(range(1, shape.graph.num_vertices + 1)):
         raise ArgumentError(
             "--order must list every vertex once, 1-based")
-    series = refined_integral(shape, tuple(v - 1 for v in order), args.dmax)
+    series = refined_integral(shape, tuple(v - 1 for v in order), args.dmax,
+                              force=args.force)
     return {
         "graph": serialize(shape.graph),
         "order": list(order),
@@ -267,15 +268,12 @@ def _run_oracle(args):
 # -- text rendering ---------------------------------------------------------
 
 def _text_double_hurwitz(args, payload):
-    lines = []
     if args.list_covers:
         for row in payload["covers"]:
-            lines.append(
-                f"mult={row['multiplicity']} "
-                f"weight={row['weightProduct']} forks={row['forks']} "
-                f"wieners={row['wieners']} :: {row['canonical']}")
-    lines.append(payload["total"])
-    return lines
+            yield (f"mult={row['multiplicity']} "
+                   f"weight={row['weightProduct']} forks={row['forks']} "
+                   f"wieners={row['wieners']} :: {row['canonical']}")
+    yield payload["total"]
 
 
 def _text_chambers(args, payload):
@@ -365,9 +363,10 @@ def _text_oracle(args, payload):
 def _csv_double_hurwitz(payload):
     header = ["canonical", "weight_product", "forks", "wieners",
               "multiplicity"]
-    rows = [[r["canonical"], r["weightProduct"], r["forks"], r["wieners"],
-             r["multiplicity"]] for r in payload.get("covers", ())]
-    rows.append(["total", "", "", "", payload["total"]])
+    rows = itertools.chain(
+        ([r["canonical"], r["weightProduct"], r["forks"], r["wieners"],
+          r["multiplicity"]] for r in payload.get("covers", ())),
+        [["total", "", "", "", payload["total"]]])
     return header, rows
 
 
@@ -576,28 +575,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(args, payload, out):
-    """Render the payload to out, ending in a newline."""
+    """Render the payload to out, ending in a newline.
+
+    The text and CSV renderers give at least one line each.
+    """
     command = args.command
     _, text_fn, csv_fn = _RUNNERS[command]
     if args.json:
         report = {"schema": SCHEMA_VERSION, "command": command,
                   "result": payload}
-        # written in batches of chunks rather than as one string, since a
-        # cover list runs to megabytes, and rather than chunk by chunk,
-        # since stdout may be unbuffered
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-        while batch := list(itertools.islice(chunks, 4096)):
-            out.write("".join(batch))
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        chunks = itertools.chain(encoder.iterencode(report), ["\n"])
     elif args.csv:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        # writerow returns what the file's write returns: here the line
+        writer = csv.writer(types.SimpleNamespace(write=str),
+                            lineterminator="\n")
         header, rows = csv_fn(payload)
-        writer.writerow(header)
-        writer.writerows(rows)
-        out.write(buffer.getvalue().rstrip("\n"))
+        chunks = map(writer.writerow, itertools.chain([header], rows))
     else:
-        out.write("\n".join(text_fn(args, payload)))
-    out.write("\n")
+        chunks = (line + "\n" for line in text_fn(args, payload))
+    # written in batches of chunks rather than as one string, since a
+    # cover list runs to megabytes, and rather than chunk by chunk,
+    # since stdout may be unbuffered
+    while batch := list(itertools.islice(chunks, 4096)):
+        out.write("".join(batch))
 
 
 def _write_matrix_file(args, payload):

@@ -20,9 +20,12 @@ N_{d,g} has two tropical routes, checked against each other by
 simple_hurwitz_routes: the direct route enumerates unlabeled covers
 with multiplicity prod(w) / #symmetries, and the labeled route sums
 the labeled counts N_{a,Omega} of labeled_table over shapes weighted by
-1/|Aut|.  Both walk _assignments, so `tropica elliptic` also compares
-the total with the S_d monodromy count of sym_oracle.hurwitz_elliptic,
-which shares no code with them, wherever its guard admits the input.
+1/|Aut|.  labeled_table runs one unconstrained sweep per (shape, vertex
+order) and buckets its results by multidegree; count_labeled_covers
+searches one multidegree alone.  Both routes walk _assignments, so
+`tropica elliptic` also compares the total with the S_d monodromy
+count of sym_oracle.hurwitz_elliptic, which shares no code with them,
+wherever its guard admits the input.
 """
 
 import itertools
@@ -34,7 +37,7 @@ from fractions import Fraction
 from .errors import ArgumentError, CrossCheckError, SizeGuardError
 from .graphs import (Multigraph, automorphism_group_order, enumerate_graphs,
                      local_rh_defect)
-from .util import compositions_of, slot_of
+from .util import slot_of
 
 DEGREE_GUARD = 5
 GENUS_GUARD = 3
@@ -308,18 +311,22 @@ def labeled_table(degree, genus, force=False):
     One row (shape, |Aut|, orders) per shape; orders holds (order,
     counts) for each vertex order, and counts the nonzero
     (multidegree, N_{a,Omega}) pairs in the order of compositions_of.
+    Each vertex order takes one unconstrained _assignments sweep whose
+    results are bucketed by their multidegree (t*w per edge), so no
+    search runs for a multidegree that admits no cover.
     """
     d, g = _checked_size(degree, genus, force)
     rows = []
     for shape in enumerate_feynman_graphs(g):
+        edges = shape.graph.edges
         orders = []
         for order in itertools.permutations(range(shape.num_vertices)):
-            counts = []
-            for multidegree in compositions_of(d, shape.num_edges):
-                count = count_labeled_covers(shape, order, multidegree)
-                if count:
-                    counts.append((multidegree, count))
-            orders.append((order, counts))
+            buckets = Counter()
+            for data in _assignments(edges, slot_of(order), d):
+                buckets[tuple(w * t for w, t, _ in data)] += math.prod(
+                    w for w, _, _ in data)
+            # sorted is the order of compositions_of: lexicographic
+            orders.append((order, sorted(buckets.items())))
         rows.append((shape, automorphism_group_order(shape.graph), orders))
     return rows
 

@@ -16,15 +16,20 @@ covers with multidegree a, which is how the counts of elliptic_covers
 reappear as series coefficients.
 """
 
+import bisect
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic_covers import (FeynmanGraph, enumerate_feynman_graphs,
                               simple_hurwitz_tropical)
-from .errors import ArgumentError
+from .errors import ArgumentError, SizeGuardError
 from .graphs import automorphism_group_order
 from .util import slot_of
+
+WORK_GUARD = 200_000  # refined_integral's estimate; genus 3, dmax 10: 168,168
 
 
 def sigma(n) -> int:
@@ -127,18 +132,24 @@ class TruncatedSeries:
         return self + other.scale(-1)
 
     def __mul__(self, other) -> "TruncatedSeries":
+        """The product within the bounds: other's terms are sorted by
+        q-degree, so a term of degree k meets those of degree <= q_bound - k.
+        """
         self._same_shape(other)
         out = TruncatedSeries(*self.shape())
         acc = out.terms
+        x_bound = self.x_bound
+        ordered = sorted(((sum(bq), bx, bq, bc)
+                          for (bx, bq), bc in other.terms.items()),
+                         key=operator.itemgetter(0))
+        degrees = [k for k, _, _, _ in ordered]
         for (ax, aq), ac in self.terms.items():
-            for (bx, bq), bc in other.terms.items():
-                q_exps = tuple(i + j for i, j in zip(aq, bq))
-                if sum(q_exps) > self.q_bound:
+            stop = bisect.bisect_right(degrees, self.q_bound - sum(aq))
+            for _, bx, bq, bc in ordered[:stop]:
+                x_exps = tuple(map(operator.add, ax, bx))
+                if any(abs(e) > x_bound for e in x_exps):
                     continue
-                x_exps = tuple(i + j for i, j in zip(ax, bx))
-                if any(abs(e) > self.x_bound for e in x_exps):
-                    continue
-                key = (x_exps, q_exps)
+                key = (x_exps, tuple(map(operator.add, aq, bq)))
                 total = acc.get(key, 0) + ac * bc
                 if total:
                     acc[key] = total
@@ -158,15 +169,6 @@ class TruncatedSeries:
         if len(x_exps) != self.num_x or len(q_exps) != self.num_q:
             raise ArgumentError("exponent vector has the wrong length")
         return self.terms.get((x_exps, q_exps), 0)
-
-    def project_x_zero(self, index) -> "TruncatedSeries":
-        """Keep only terms with x-exponent 0 in the given variable."""
-        if not 0 <= index < self.num_x:
-            raise ArgumentError("variable index out of range")
-        out = TruncatedSeries(*self.shape())
-        out.terms = {key: coeff for key, coeff in self.terms.items()
-                     if key[0][index] == 0}
-        return out
 
     def x_constant_part(self) -> "TruncatedSeries":
         """The all-x-degree-0 slice, as a series in the q variables."""
@@ -261,9 +263,11 @@ def _integral(shape: FeynmanGraph, order, d, coarse) -> TruncatedSeries:
     """x-constant part of the product of all edge factors.
 
     Each edge k gets its own variable q_k, or with coarse=True all edges
-    share one q.  Vertices are eliminated one at a time: once every
-    factor touching a vertex has been multiplied in, only the degree-0
-    slice in that variable can still reach the constant term.
+    share one q.  Factors are multiplied in vertex by vertex.  Each one
+    moves x_v by at most 2d, so after each factor a term whose |x_v|
+    exceeds 2d times the number of factors still to come at v can no
+    longer reach the constant term and is dropped.  Once a vertex has
+    no factors left, only its x-degree-0 slice survives.
     """
     edges = shape.graph.edges
     num_x = shape.num_vertices
@@ -274,25 +278,38 @@ def _integral(shape: FeynmanGraph, order, d, coarse) -> TruncatedSeries:
         raise ArgumentError("truncation degree is nonnegative")
     slots = slot_of(order)
     acc = TruncatedSeries.constant(1, num_x, num_q, 6 * d, 2 * d)
-    done = [False] * len(edges)
-    for vertex in order:
-        for k, (u, v) in enumerate(edges):
-            if done[k] or vertex not in (u, v):
-                continue
-            lower = u if slots[u] < slots[v] else v
-            acc = acc * propagator_factor(u, v, lower, 0 if coarse else k,
-                                          d, num_x, num_q)
-            done[k] = True
-        acc = acc.project_x_zero(vertex)
+    # reach[x]: how far the factors still to come can move x's exponent
+    reach = [2 * d * sum(e.count(x) for e in edges) for x in range(num_x)]
+    # an edge is multiplied in at its endpoint that comes first in order
+    for k in sorted(range(len(edges)),
+                    key=lambda k: min(slots[x] for x in edges[k])):
+        u, v = edges[k]
+        lower = u if slots[u] < slots[v] else v
+        acc = acc * propagator_factor(u, v, lower, 0 if coarse else k, d,
+                                      num_x, num_q)
+        reach[u] -= 2 * d
+        reach[v] -= 2 * d
+        acc.terms = {key: c for key, c in acc.terms.items()
+                     if abs(key[0][u]) <= reach[u]
+                     and abs(key[0][v]) <= reach[v]}
     return acc.x_constant_part()
 
 
-def refined_integral(shape: FeynmanGraph, order, d) -> TruncatedSeries:
+def refined_integral(shape: FeynmanGraph, order, d,
+                     force=False) -> TruncatedSeries:
     """x-constant part of the edge product, with one q_k per edge.
 
     The coefficient of prod q_k^{2 a_k}, a nonnegative integer, is the
-    weighted count of labeled covers of multidegree a.
+    weighted count of labeled covers of multidegree a.  Unless force is
+    set, the work estimate C(d + E, E) * (2d + 1) for E edges (each
+    multidegree times the exponents of one x) must stay <= WORK_GUARD.
     """
+    num_edges = shape.num_edges
+    work = math.comb(max(d, 0) + num_edges, num_edges) * (2 * d + 1)
+    if work > WORK_GUARD and not force:
+        raise SizeGuardError(
+            f"dmax {d} on {num_edges} edges is about {work} terms of work, "
+            f"past the guard of {WORK_GUARD}; pass force=True to run anyway")
     return _integral(shape, order, d, coarse=False)
 
 

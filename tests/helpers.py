@@ -1,8 +1,9 @@
 """Deliberately naive reference implementations used as test oracles.
 
 Everything here favors transparency over speed: brute-force dart and
-vertex permutations, stub matchings, direct permutation-tuple counts, and a
-product over per-edge choices of elliptic edge data.  Keep inputs tiny.
+vertex permutations, stub matchings, direct permutation-tuple counts, a
+product over per-edge choices of elliptic edge data, and a pairwise series
+product.  Keep inputs tiny.
 """
 
 import math
@@ -330,3 +331,22 @@ def naive_edge_data(edges, slot_of, degree, multidegree=None):
     return {data for found in groups.values() for data in found
             if all(t > 0 or slot_of[tail] < slot_of[u + v - tail]
                    for (u, v), (_, t, tail) in zip(edges, data))}
+
+
+# -- truncated series -------------------------------------------------------
+
+def naive_series_terms_product(a, b):
+    """The terms of the truncated product a * b, pairing every two terms.
+
+    A pair is kept when its q-exponents total at most q_bound and every
+    x-exponent is at most x_bound in absolute value; zero sums are
+    dropped.  Reads only the bounds and term dicts of the two series.
+    """
+    out = {}
+    for (ax, aq), ac in a.terms.items():
+        for (bx, bq), bc in b.terms.items():
+            x = tuple(i + j for i, j in zip(ax, bx))
+            q = tuple(i + j for i, j in zip(aq, bq))
+            if sum(q) <= a.q_bound and all(abs(e) <= a.x_bound for e in x):
+                out[x, q] = out.get((x, q), 0) + ac * bc
+    return {key: coeff for key, coeff in out.items() if coeff}

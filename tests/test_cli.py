@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from tropica import cli, elliptic_covers, line_covers, moduli_space
+from tropica import (cli, elliptic_covers, feynman_series, line_covers,
+                     moduli_space)
 from tropica.cli import main
 from tropica.errors import LoopContractionError
 from tropica.feynman_series import MirrorRow
 from tropica.graphs import serialize
-from tropica.util import compositions_of
+from tropica.util import slot_of
 
 THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
 
@@ -151,23 +152,34 @@ def test_elliptic_json_structure(capsys):
 
 
 def test_elliptic_runs_one_labeled_sweep(capsys, monkeypatch):
-    calls = []
-    count = elliptic_covers.count_labeled_covers
+    # the labeled table takes one unconstrained edge-data sweep per
+    # (shape, order), and the direct route one more
+    sweeps, route = [], ["labeled"]
+    assignments = elliptic_covers._assignments
+    enumerate_covers = elliptic_covers.enumerate_elliptic_covers
 
-    def counted(shape, order, multidegree):
-        calls.append((shape, tuple(order), tuple(multidegree)))
-        return count(shape, order, multidegree)
+    def counted(edges, slots, degree, multidegree=None):
+        sweeps.append((route[0], tuple(edges), tuple(slots), multidegree))
+        return assignments(edges, slots, degree, multidegree)
 
-    monkeypatch.setattr(elliptic_covers, "count_labeled_covers", counted)
+    def direct(*args, **kwargs):
+        route[0] = "direct"
+        try:
+            return enumerate_covers(*args, **kwargs)
+        finally:
+            route[0] = "labeled"
+
+    monkeypatch.setattr(elliptic_covers, "_assignments", counted)
+    monkeypatch.setattr(elliptic_covers, "enumerate_elliptic_covers", direct)
     code, _, _ = run(capsys, "elliptic", "--degree", "3", "--genus", "2",
                      "--json")
     assert code == 0
-    expected = [(shape, order, a)
+    expected = [(name, shape.graph.edges, tuple(slot_of(order)), None)
+                for name in ("labeled", "direct")
                 for shape in elliptic_covers.enumerate_feynman_graphs(2)
-                for order in itertools.permutations(range(2))
-                for a in compositions_of(3, 3)]
-    assert len(expected) == 20
-    assert sorted(calls, key=repr) == sorted(expected, key=repr)
+                for order in itertools.permutations(range(2))]
+    assert len(expected) == 4
+    assert sorted(sweeps) == sorted(expected)
 
 
 def test_elliptic_oracle_mismatch_exits_4(capsys, monkeypatch):
@@ -245,6 +257,23 @@ def test_feynman_errors(tmp_path, capsys):
     bad.write_text("V 2 E 1 L 0\ne 0 1\n", encoding="utf-8")
     assert run(capsys, "feynman", "--graph", str(bad),
                "--order", "1,2", "--dmax", "2")[0] == 2
+
+
+def test_feynman_size_guard_and_force(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "shape.txt"
+    shape = elliptic_covers.enumerate_feynman_graphs(3)[0]
+    path.write_text(serialize(shape.graph), encoding="utf-8")
+    argv = ("feynman", "--graph", str(path), "--order", "1,2,3,4")
+    # C(17, 6) multidegrees times 23 exponents: just past the guard
+    code, out, err = run(capsys, *argv, "--dmax", "11")
+    assert (code, out) == (3, "")
+    assert "size guard: dmax 11 on 6 edges is about 284648 terms" in err
+    assert run(capsys, *argv, "--dmax", "6")[0] == 0
+    # past a lowered guard, --force runs the job and changes nothing
+    expected = run(capsys, *argv, "--dmax", "2", "--json")
+    monkeypatch.setattr(feynman_series, "WORK_GUARD", 10)
+    assert run(capsys, *argv, "--dmax", "2", "--json")[:2] == (3, "")
+    assert run(capsys, *argv, "--dmax", "2", "--json", "--force") == expected
 
 
 def test_mirror_check_matches(capsys):

@@ -11,12 +11,12 @@ from tropica.elliptic_covers import (FeynmanGraph, _assignments,
                                      enumerate_elliptic_covers,
                                      enumerate_feynman_graphs,
                                      labeled_aggregate,
-                                     labeled_cover_assignments,
+                                     labeled_cover_assignments, labeled_table,
                                      loop_graphs_admit_no_cover,
                                      simple_hurwitz_tropical,
                                      trivalent_classes)
 from tropica.errors import ArgumentError, SizeGuardError
-from tropica.graphs import Multigraph
+from tropica.graphs import Multigraph, automorphism_group_order
 from tropica.sym_oracle import hurwitz_elliptic
 from tropica.util import compositions_of, slot_of
 
@@ -227,6 +227,24 @@ def test_assignment_properties():
             assert sum(w * t for w, t, _ in data) == degree
             for a, (w, t, _) in zip(multidegree, data):
                 assert w * t == a
+
+
+@pytest.mark.parametrize("degree, genus",
+                         [(d, 2) for d in range(2, 6)]
+                         + [(d, 3) for d in range(2, 5)])
+def test_labeled_table_matches_per_multidegree_counts(degree, genus):
+    # the bucketed sweep against one count_labeled_covers search per
+    # composition, row for row and in the same order
+    table = labeled_table(degree, genus)
+    assert [shape for shape, _, _ in table] == enumerate_feynman_graphs(genus)
+    for shape, aut, orders in table:
+        assert aut == automorphism_group_order(shape.graph)
+        assert [order for order, _ in orders] == list(
+            itertools.permutations(range(shape.num_vertices)))
+        for order, counts in orders:
+            expected = [(a, count_labeled_covers(shape, order, a))
+                        for a in compositions_of(degree, shape.num_edges)]
+            assert counts == [(a, n) for a, n in expected if n]
 
 
 @pytest.mark.parametrize("genus", [2, 3])

@@ -15,7 +15,9 @@ from tropica.feynman_series import (DivisorSum, MirrorRow, TruncatedSeries,
                                     mirror_check, propagator_factor,
                                     refined_integral, sigma)
 from tropica.graphs import Multigraph
-from tropica.util import compositions_of
+from tropica.util import compositions_of, slot_of
+
+from helpers import naive_series_terms_product
 
 THETA = FeynmanGraph(Multigraph(2, [(0, 1), (0, 1), (0, 1)]))
 CATERPILLAR = FeynmanGraph(
@@ -86,6 +88,56 @@ def test_series_arithmetic_properties():
         # associativity needs every intermediate product within bounds
         a, b, c = sample(2), sample(2), sample(2)
         assert (a * b) * c == a * (b * c)
+
+
+def test_product_matches_pairwise_product():
+    # negative x-exponents, terms exactly at q_bound, x sums past x_bound
+    # and cancelling coefficients, on several seeded shapes
+    rng = random.Random(8107)
+    for num_x, num_q, x_bound, q_bound in ((2, 2, 4, 3), (1, 3, 2, 4),
+                                           (3, 1, 3, 2), (0, 2, 0, 3)):
+        def sample():
+            terms = {}
+            for i in range(rng.randrange(1, 25)):
+                x = tuple(rng.randint(-x_bound, x_bound)
+                          for _ in range(num_x))
+                q = [0] * num_q
+                # the first term sits exactly at q_bound
+                for _ in range(q_bound if i == 0
+                               else rng.randrange(q_bound + 1)):
+                    q[rng.randrange(num_q)] += 1
+                terms[x, tuple(q)] = rng.choice(
+                    (rng.randint(1, 3), Fraction(rng.randint(-3, 3), 2)))
+            return TruncatedSeries(num_x, num_q, x_bound, q_bound, terms)
+
+        for _ in range(40):
+            a, b = sample(), sample()
+            assert (a * b).terms == naive_series_terms_product(a, b)
+            assert (a * (b - b)).terms == {}
+
+
+def _unpruned_integral(shape, order, d, coarse):
+    """The plain product of every edge factor, then its x-constant part."""
+    edges = shape.graph.edges
+    num_x, num_q = shape.num_vertices, 1 if coarse else len(edges)
+    slots = slot_of(order)
+    acc = TruncatedSeries.constant(1, num_x, num_q, 6 * d, 2 * d)
+    for k, (u, v) in enumerate(edges):
+        lower = u if slots[u] < slots[v] else v
+        acc = acc * propagator_factor(u, v, lower, 0 if coarse else k, d,
+                                      num_x, num_q)
+    return acc.x_constant_part()
+
+
+def test_pruned_integrals_match_the_plain_product():
+    orders = list(itertools.permutations(range(4)))[::5]
+    for shape in enumerate_feynman_graphs(3):
+        for order in orders:
+            for d in range(4):
+                assert refined_integral(shape, order, d) == \
+                    _unpruned_integral(shape, order, d, coarse=False)
+                assert coarse_integral(shape, order, d) == \
+                    _unpruned_integral(shape, order, d, coarse=True)
 
 
 def test_series_shape_mismatch():
