@@ -229,7 +229,7 @@ def _run_graph_complex(args):
 
 
 def _run_moduli(args):
-    types = enumerate_types(args.genus, args.marks)
+    types = enumerate_types(args.genus, args.marks, force=args.force)
     top = max(t.dimension for t in types)
     expected = 3 * args.genus - 3 + args.marks
     if top != expected:

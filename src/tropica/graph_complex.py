@@ -40,7 +40,7 @@ def normalize(graph: Multigraph, edge_order):
     n = len(edges)
     if any(u == v for u, v in edges):
         raise ArgumentError("generators are loop-free")
-    if any(graph.valence(v) < 3 for v in range(graph.num_vertices)):
+    if min(graph.valences()) < 3:
         raise ArgumentError("generators have minimum valence 3")
     if not graph.is_connected():
         raise ArgumentError("generators are connected")

@@ -11,12 +11,12 @@ of isomorphism classes with prescribed valences, edge contraction, and
 the local balancing / defect checks used by the cover-counting modules.
 Everything is exact integer combinatorics.
 
-Canonical labelling is one brute-force pass, _search, over the
-relabelings that keep the refined vertex color classes in order;
-canonical_form and automorphisms both read their answer off it.
+Canonical labelling is one depth-first branch-and-bound search, _search,
+over the relabelings that keep the refined vertex color classes in
+order; canonical_form and automorphisms both read their answer off it.
 """
 
-from itertools import permutations, product
+from itertools import product
 
 from .errors import ArgumentError, LoopContractionError
 from .util import slot_of
@@ -113,15 +113,8 @@ class Multigraph:
         self.legs = tuple(norm_legs)
         self.genus = norm_genus
         # every vertex carries a half-edge, except a lone decorated vertex
-        if n > 1 or self.edges or self.legs:
-            deg = [0] * n
-            for u, v in self.edges:
-                deg[u] += 1
-                deg[v] += 1
-            for v, _ in self.legs:
-                deg[v] += 1
-            if n > 1 and min(deg) == 0:
-                raise ArgumentError("isolated vertex in a multi-vertex graph")
+        if n > 1 and min(self.valences()) == 0:
+            raise ArgumentError("isolated vertex in a multi-vertex graph")
 
     # -- basic counts ---------------------------------------------------
 
@@ -135,14 +128,17 @@ class Multigraph:
 
     def valence(self, v: int) -> int:
         """Half-edges at v: loops count twice, legs once."""
-        total = 0
-        for a, b in self.edges:
-            total += (a == v) + (b == v)
-        total += sum(1 for w, _ in self.legs if w == v)
-        return total
+        return self.valences()[v]
 
     def valences(self):
-        return tuple(self.valence(v) for v in range(self.num_vertices))
+        """Every vertex's valence, in one pass over edges and legs."""
+        deg = [0] * self.num_vertices
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        for v, _ in self.legs:
+            deg[v] += 1
+        return tuple(deg)
 
     def multiplicities(self):
         """Dict (u, v) with u <= v -> number of parallel edges (or loops)."""
@@ -277,6 +273,19 @@ def _ranks(keys):
     return [rank[key] for key in keys]
 
 
+def _adjacency(g: Multigraph):
+    """Loops per vertex, and (neighbor, multiplicity) lists per vertex."""
+    loops = [0] * g.num_vertices
+    nbrs = [[] for _ in range(g.num_vertices)]
+    for (a, b), m in g.multiplicities().items():
+        if a == b:
+            loops[a] = m
+        else:
+            nbrs[a].append((b, m))
+            nbrs[b].append((a, m))
+    return loops, nbrs
+
+
 def _refined_colors(g: Multigraph):
     """Stable vertex coloring refined by neighbor colors.
 
@@ -284,21 +293,10 @@ def _refined_colors(g: Multigraph):
     canonically (they are ranks of sorted invariant keys).
     """
     n = g.num_vertices
-    valence = [0] * n
-    loops = [0] * n
+    valence = g.valences()
+    loops, nbrs = _adjacency(g)
     labels = [[] for _ in range(n)]
-    nbrs = [[] for _ in range(n)]
-    for (a, b), m in g.multiplicities().items():
-        if a == b:
-            loops[a] = m
-            valence[a] += 2 * m
-        else:
-            valence[a] += m
-            valence[b] += m
-            nbrs[a].append((b, m))
-            nbrs[b].append((a, m))
     for v, label in g.legs:
-        valence[v] += 1
         labels[v].append(label)
     colors = _ranks([
         (g.genus[v], valence[v], loops[v], tuple(sorted(labels[v])))
@@ -326,26 +324,6 @@ def _signature(g: Multigraph, perm):
     return (g.num_vertices, tuple(genus), tuple(edges), tuple(legs))
 
 
-def _class_permutations(colors):
-    """Yield vertex permutations (old -> new) refining the color order."""
-    n = len(colors)
-    groups = {}
-    for v in range(n):
-        groups.setdefault(colors[v], []).append(v)
-    ordered_groups = [groups[c] for c in sorted(groups)]
-    starts = []
-    pos = 0
-    for grp in ordered_groups:
-        starts.append(pos)
-        pos += len(grp)
-    for arrangement in product(*(permutations(grp) for grp in ordered_groups)):
-        perm = [0] * n
-        for grp_order, start in zip(arrangement, starts):
-            for offset, v in enumerate(grp_order):
-                perm[v] = start + offset
-        yield tuple(perm)
-
-
 def _search(g: Multigraph):
     """The least signature of g and every permutation that reaches it.
 
@@ -353,15 +331,103 @@ def _search(g: Multigraph):
     are invariant under isomorphism, so every automorphism maps each
     color class to itself and the ties are exactly best o Aut(g), where
     best = ties[0].
+
+    The relabelings searched keep the color classes in order: each class
+    takes the next block of new labels, in every order of its vertices.
+    Genus and legs are part of the colors, so only the sorted edge list
+    tells two of them apart.  New labels 0, 1, ... are given depth first,
+    in the order of the product of the classes' permutations.  A branch
+    is cut once the fixed start of its sorted edge list is greater than
+    the least list found so far, or equal to it with the next edge
+    already known to sort after the least list's.  Only lists greater
+    than the least are cut, so every tie is still reached, in product
+    order.
     """
-    best_sig, ties = None, []
-    for perm in _class_permutations(_refined_colors(g)):
-        sig = _signature(g, perm)
-        if best_sig is None or sig < best_sig:
-            best_sig, ties = sig, [perm]
-        elif sig == best_sig:
-            ties.append(perm)
-    return best_sig, ties
+    colors = _refined_colors(g)
+    n = g.num_vertices
+    if len(set(colors)) == n:  # discrete: the ranks are the labels
+        perm = tuple(colors)
+        return _signature(g, perm), [perm]
+    groups = {}
+    for v in range(n):
+        groups.setdefault(colors[v], []).append(v)
+    block = []  # block[p]: the vertices that may take new label p
+    for c in sorted(groups):
+        block.extend([groups[c]] * len(groups[c]))
+    loops, nbrs = _adjacency(g)
+
+    # Edge (a, b), a <= b in new labels, is coded a * n + b, which sorts
+    # like the pair.  rows[a] holds the codes fixed so far in row a of the
+    # sorted list; open_ends[a] counts its edges to unplaced vertices,
+    # whose codes are still unknown.  Rows before `head` are complete, so
+    # they and the first `taken` codes of rows[head] form `prefix`, the
+    # fixed start of the sorted list.
+    pos = [-1] * n
+    rows = [[] for _ in range(n)]
+    open_ends = [0] * n
+    prefix = []
+    head = taken = 0
+    best, ties = None, []
+
+    def descend(p, eq):
+        # eq: prefix equals the start of best
+        nonlocal head, taken, best, ties
+        if p == n:
+            if eq:
+                ties.append(tuple(pos))
+            else:
+                best, ties = prefix[:], [tuple(pos)]
+            return
+        for v in block[p]:
+            if pos[v] >= 0:
+                continue
+            pos[v] = p
+            rows[p].extend([p * n + p] * loops[v])
+            placed = []
+            for w, m in nbrs[v]:
+                a = pos[w]
+                if a < 0:
+                    open_ends[p] += m
+                else:
+                    rows[a].extend([a * n + p] * m)
+                    open_ends[a] -= m
+                    placed.append((a, m))
+            saved = len(prefix), head, taken
+            while head <= p:
+                row = rows[head]
+                prefix.extend(row[taken:])
+                if open_ends[head]:
+                    taken = len(row)
+                    break
+                head += 1
+                taken = 0
+            child_eq = cut = False
+            if best is not None and eq:
+                k = len(prefix)
+                fixed, known = prefix[saved[0]:], best[saved[0]:k]
+                child_eq = fixed == known
+                cut = fixed > known
+                # the next code is at least (head, p + 1) in an open row,
+                # or (p + 1, p + 1) once every placed row is complete
+                if child_eq and k < len(best):
+                    cut = best[k] < (head * n + p + 1 if head <= p
+                                     else (p + 1) * (n + 1))
+            if not cut:
+                before = best
+                descend(p + 1, child_eq)
+                if best is not before:
+                    eq = True
+            del prefix[saved[0]:]
+            _, head, taken = saved
+            for a, m in placed:
+                del rows[a][-m:]
+                open_ends[a] += m
+            rows[p].clear()
+            open_ends[p] = 0
+            pos[v] = -1
+
+    descend(0, False)
+    return _signature(g, ties[0]), ties
 
 
 def canonical_form(g: Multigraph):

@@ -9,13 +9,16 @@ the cone complex.  Contracting a loop removes it and raises the genus
 of its vertex, so the total genus is constant along the poset.
 """
 
+import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError, CrossCheckError
+from .errors import ArgumentError, CrossCheckError, SizeGuardError
 from .graphs import (Multigraph, automorphisms, canonical_form,
                      contract_edge, contract_loop, enumerate_graphs,
                      serialize)
 from .util import compositions_of, partitions_of
+
+WORK_GUARD = 10_395  # enumerate_types' estimate at 6 vertices: (0, 8)..(4, 0)
 
 
 def vertex_stable(genus: int, valence: int) -> bool:
@@ -51,34 +54,50 @@ class ConePoset:
     folded: tuple
 
 
-def enumerate_types(genus, num_legs):
+def enumerate_types(genus, num_legs, force=False):
     """All stable combinatorial types for (g, n), one per iso class.
 
-    Sorted by dimension, then canonical key.
+    Sorted by dimension, then canonical key.  A maximal type has
+    V = 2g - 2 + n trivalent vertices, and the work grows with V about
+    as fast as (2V - 1)!!, the number of maximal types at genus 0 with V
+    vertices.  Unless force is set, that estimate must stay <= WORK_GUARD.
     """
     g, n = int(genus), int(num_legs)
     if g < 0 or n < 0:
         raise ArgumentError("genus and leg count must be nonnegative")
-    if 2 * g - 2 + n <= 0:
+    vertices = 2 * g - 2 + n
+    if vertices <= 0:
         raise ArgumentError(f"({g}, {n}) is unstable")
+    work = math.prod(range(1, 2 * vertices, 2))
+    if work > WORK_GUARD and not force:
+        raise SizeGuardError(
+            f"genus {g} with {n} marks is about {work} types of work "
+            f"({2 * vertices - 1}!! for {vertices} vertices), past the "
+            f"guard of {WORK_GUARD}; pass force=True to run anyway")
     found = {}
     for num_edges in range(3 * g - 3 + n + 1):
         for num_vertices in range(max(1, num_edges + 1 - g),
                                   num_edges + 2):
-            seeds = _genus_decorated_skeletons(g, num_edges, num_vertices)
+            seeds = _genus_decorated_skeletons(g, n, num_edges, num_vertices)
             for key, graph in _attach_legs(seeds, n).items():
-                if all(vertex_stable(graph.genus[v], graph.valence(v))
-                       for v in range(num_vertices)):
+                if all(vertex_stable(h, k)
+                       for h, k in zip(graph.genus, graph.valences())):
                     found.setdefault(key, graph)
     return [CombinatorialType(graph)
             for _, graph in sorted(found.items(),
                                    key=lambda kv: (kv[1].num_edges, kv[0]))]
 
 
-def _genus_decorated_skeletons(g, num_edges, num_vertices):
-    """Leg-free genus-g candidates with the given edge and vertex counts."""
+def _genus_decorated_skeletons(g, num_legs, num_edges, num_vertices):
+    """Leg-free genus-g candidates with the given edge and vertex counts.
+
+    Only valence sequences that num_legs legs can still make stable are
+    searched; see _least_deficit.
+    """
     seeds = {}
     total = 2 * num_edges
+    # every connected skeleton here has the same first Betti number
+    budget = g - (num_edges - num_vertices + 1)
     if num_vertices == 1:
         sequences = [(total,)]
     else:
@@ -88,11 +107,10 @@ def _genus_decorated_skeletons(g, num_edges, num_vertices):
                      for parts in partitions_of(total - num_vertices)
                      if len(parts) <= num_vertices]
     for valences in sequences:
+        if _least_deficit(valences, budget) > num_legs:
+            continue
         for skeleton in enumerate_graphs(num_vertices, valences,
                                          allow_loops=True):
-            budget = g - skeleton.first_betti()
-            if budget < 0:
-                continue
             for assign in compositions_of(budget, num_vertices):
                 canon = canonical_form(Multigraph(
                     num_vertices, skeleton.edges, (), assign))[0]
@@ -100,13 +118,22 @@ def _genus_decorated_skeletons(g, num_edges, num_vertices):
     return seeds
 
 
+def _least_deficit(valences, budget) -> int:
+    """A lower bound on _deficit over genus decorations of the valences.
+
+    Genus 1 on a vertex of valence >= 1 leaves it nothing to miss, so the
+    best use of a genus budget b clears the b largest genus-0 deficits
+    max(0, 3 - k).  Every vertex of a multi-vertex skeleton has valence
+    >= 1, so there the bound is exact.
+    """
+    deficits = sorted(max(0, 3 - k) for k in valences)
+    return sum(deficits[:max(0, len(deficits) - budget)])
+
+
 def _deficit(graph) -> int:
     """Half-edges still missing before every vertex could be stable."""
-    total = 0
-    for v in range(graph.num_vertices):
-        needed = max(0, 3 - 2 * graph.genus[v])
-        total += max(0, needed - graph.valence(v))
-    return total
+    return sum(max(0, 3 - 2 * h - k)
+               for h, k in zip(graph.genus, graph.valences()))
 
 
 def _attach_legs(seeds, num_legs):

@@ -1,9 +1,10 @@
 """Deliberately naive reference implementations used as test oracles.
 
 Everything here favors transparency over speed: brute-force dart and
-vertex permutations, stub matchings, direct permutation-tuple counts, a
-product over per-edge choices of elliptic edge data, and a pairwise series
-product.  Keep inputs tiny.
+vertex permutations, the full product behind canonical labelling, stub
+matchings, moduli types built without pruning, direct permutation-tuple
+counts, a product over per-edge choices of elliptic edge data, and a
+pairwise series product.  Keep inputs tiny.
 """
 
 import math
@@ -11,7 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from tropica.graphs import Multigraph, canonical_key
+from tropica.graphs import (Multigraph, _refined_colors, _signature,
+                            canonical_key, enumerate_graphs)
 
 
 # -- half-edge automorphisms ----------------------------------------------
@@ -86,6 +88,50 @@ def brute_force_automorphisms(g: Multigraph):
     return found
 
 
+# -- canonical labelling by the full product ------------------------------
+
+def class_permutations(colors):
+    """Yield vertex permutations (old -> new) refining the color order.
+
+    Each color class, in color order, takes the next block of new labels
+    in every order of its vertices: the product of the classes'
+    permutations, first class outermost.
+    """
+    n = len(colors)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(colors[v], []).append(v)
+    ordered_groups = [groups[c] for c in sorted(groups)]
+    starts = []
+    pos = 0
+    for grp in ordered_groups:
+        starts.append(pos)
+        pos += len(grp)
+    for arrangement in product(*(permutations(grp) for grp in ordered_groups)):
+        perm = [0] * n
+        for grp_order, start in zip(arrangement, starts):
+            for offset, v in enumerate(grp_order):
+                perm[v] = start + offset
+        yield tuple(perm)
+
+
+def brute_force_search(g: Multigraph):
+    """(least signature, every permutation reaching it) over the product.
+
+    The oracle for graphs._search: it computes the signature of every
+    permutation that class_permutations yields, with no pruning, and
+    keeps the ties in product order.
+    """
+    best_sig, ties = None, []
+    for perm in class_permutations(_refined_colors(g)):
+        sig = _signature(g, perm)
+        if best_sig is None or sig < best_sig:
+            best_sig, ties = sig, [perm]
+        elif sig == best_sig:
+            ties.append(perm)
+    return best_sig, ties
+
+
 # -- stub matching enumeration --------------------------------------------
 
 def _matchings(stubs):
@@ -134,6 +180,43 @@ def stub_matching_classes(num_vertices, degrees, num_legs=0,
                 continue
             if g.is_connected():
                 keys.add(canonical_key(g))
+    return keys
+
+
+# -- moduli types without pruning -----------------------------------------
+
+def unpruned_type_keys(genus, num_legs):
+    """Canonical keys of the stable types for (g, n), pruning nothing.
+
+    Every valence sequence for every (edges, vertices) count, every genus
+    decoration and every placement of legs 1..n is built; stability is
+    checked only on the finished graph.  Exponential in n; keep it <= 3.
+    """
+    g, n = genus, num_legs
+    keys = set()
+    for num_edges in range(3 * g - 3 + n + 1):
+        for num_vertices in range(1, num_edges + 2):
+            budget = g - (num_edges - num_vertices + 1)
+            if budget < 0:
+                continue
+            sequences = [(0,)] if num_edges == 0 else [
+                parts for parts in _partitions(2 * num_edges)
+                if len(parts) == num_vertices]
+            decorations = [genera for genera in product(range(budget + 1),
+                                                        repeat=num_vertices)
+                           if sum(genera) == budget]
+            for degrees in sequences:
+                for skeleton in enumerate_graphs(num_vertices, degrees,
+                                                 allow_loops=True):
+                    for genera in decorations:
+                        for where in product(range(num_vertices), repeat=n):
+                            graph = Multigraph(
+                                num_vertices, skeleton.edges,
+                                [(v, label) for label, v
+                                 in enumerate(where, start=1)], genera)
+                            if all(2 * h - 2 + k > 0 for h, k
+                                   in zip(genera, graph.valences())):
+                                keys.add(canonical_key(graph))
     return keys
 
 

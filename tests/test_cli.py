@@ -276,6 +276,19 @@ def test_feynman_size_guard_and_force(tmp_path, capsys, monkeypatch):
     assert run(capsys, *argv, "--dmax", "2", "--json", "--force") == expected
 
 
+def test_moduli_size_guard_and_force(capsys, monkeypatch):
+    code, out, err = run(capsys, "moduli", "--genus", "0", "--marks", "9")
+    assert (code, out) == (3, "")
+    assert ("size guard: genus 0 with 9 marks is about 135135 types of work"
+            in err)
+    # past a lowered guard, --force runs the job and changes nothing
+    argv = ("moduli", "--genus", "1", "--marks", "2", "--poset", "--json")
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(moduli_space, "WORK_GUARD", 1)
+    assert run(capsys, *argv)[:2] == (3, "")
+    assert run(capsys, *argv, "--force") == expected
+
+
 def test_mirror_check_matches(capsys):
     code, out, _ = run(capsys, "mirror-check", "--genus", "2",
                        "--dmax", "2")

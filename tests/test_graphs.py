@@ -2,15 +2,18 @@
 enumeration, contraction, balancing, and serialization."""
 
 import random
+import sys
 
 import pytest
 
-from helpers import (brute_force_automorphisms, halfedge_aut_order,
-                     random_relabel, stub_matching_classes)
+from helpers import (brute_force_automorphisms, brute_force_search,
+                     halfedge_aut_order, random_relabel,
+                     stub_matching_classes)
 from tropica.errors import ArgumentError, LoopContractionError
 from tropica.graphs import (
     Multigraph,
     Partition,
+    _search,
     automorphism_group_order,
     automorphisms,
     canonical_form,
@@ -159,6 +162,60 @@ def test_canonical_form_separates_classes():
     simple = Multigraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     assert sorted(with_parallel.valences()) == sorted(simple.valences())
     assert canonical_key(with_parallel) != canonical_key(simple)
+
+
+def test_search_matches_the_full_product():
+    # loops, parallel edges, labeled legs, genus and unlabeled legs
+    graphs = []
+    for n, degrees, legs, loops in [
+        (6, [3] * 6, 0, True),
+        (5, [4, 4, 4, 2, 2], 0, False),
+        (4, [4, 4, 2, 2], 0, True),
+        (4, [3, 3, 3, 3], 2, True),
+        (3, [3, 2, 1], 2, True),
+    ]:
+        found = enumerate_graphs(n, degrees, legs, allow_loops=loops)
+        assert found
+        graphs.extend(found)
+    for g in enumerate_graphs(4, [3, 3, 3, 3], allow_loops=True):
+        graphs.append(Multigraph(4, g.edges, genus=[1, 0, 1, 0]))
+        graphs.append(Multigraph(4, g.edges, legs=[(0, 0), (2, 0)]))
+    graphs += [
+        Multigraph(3, [(0, 1), (1, 2), (0, 2)],
+                   legs=[(0, 0), (0, 0), (1, 0), (2, 0)]),
+        Multigraph(4, caterpillar().edges, legs=[(0, 0), (1, 0)],
+                   genus=[0, 0, 2, 2]),
+        Multigraph(1, [(0, 0), (0, 0)], legs=[(0, 0)], genus=[1]),
+        # disconnected: every placed row can be complete before the end
+        Multigraph(2, [(0, 0), (1, 1)]),
+        Multigraph(4, [(0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3)]),
+    ]
+    rng = random.Random(20261018)
+    for g in graphs:
+        for h in [g] + [random_relabel(g, rng) for _ in range(3)]:
+            assert _search(h) == brute_force_search(h), serialize(h)
+
+
+def test_search_cuts_most_of_the_product():
+    # one color class of 6 vertices: the product tree has 6! = 720 leaves
+    # and 1 + 6 + 30 + 120 + 360 + 720 + 720 = 1957 nodes
+    prism = Multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                           (0, 3), (1, 4), (2, 5)])
+    depths = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "descend":
+            depths.append(frame.f_locals["p"])
+
+    sys.setprofile(record)
+    try:
+        _, ties = _search(prism)
+    finally:
+        sys.setprofile(None)
+    leaves = depths.count(prism.num_vertices)
+    assert len(ties) == 12
+    assert len(ties) <= leaves <= 720 // 20
+    assert len(depths) <= 1957 // 10
 
 
 def test_automorphism_orders_known_graphs():

@@ -2,7 +2,9 @@ from collections import Counter
 
 import pytest
 
-from tropica.errors import ArgumentError
+from helpers import unpruned_type_keys
+from tropica import moduli_space
+from tropica.errors import ArgumentError, SizeGuardError
 from tropica.graphs import Multigraph, canonical_key
 from tropica.moduli_space import (CombinatorialType, build_poset,
                                   enumerate_types, is_folded, max_dimension,
@@ -73,6 +75,38 @@ def test_types_are_stable_and_consistent():
             for v in range(graph.num_vertices):
                 assert vertex_stable(graph.genus[v], graph.valence(v))
             assert canonical_key(graph) == t.key
+
+
+@pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (1, 2), (1, 3), (2, 0),
+                                  (2, 1), (2, 2), (2, 3), (3, 0)])
+def test_pruned_search_keeps_every_type(g, n):
+    assert {t.key for t in enumerate_types(g, n)} == unpruned_type_keys(g, n)
+
+
+def test_genus_three_counts():
+    assert len(enumerate_types(3, 0)) == 42
+    assert len(enumerate_types(3, 1)) == 181
+
+
+@pytest.mark.slow
+def test_genus_four_counts():
+    types = enumerate_types(4, 0)
+    assert len(types) == 379
+    # the top cells are the 17 connected trivalent graphs of genus 4
+    assert dims(types)[9] == 17
+
+
+def test_size_guard(monkeypatch):
+    # the guard is decided before any search runs
+    monkeypatch.setattr(moduli_space, "_genus_decorated_skeletons",
+                        lambda *args: {})
+    for g, n in ((0, 7), (1, 5), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1),
+                 (0, 8), (4, 0)):
+        assert enumerate_types(g, n) == []
+    for g, n in ((0, 9), (1, 7), (2, 5), (4, 1), (5, 0)):
+        with pytest.raises(SizeGuardError):
+            enumerate_types(g, n)
+        assert enumerate_types(g, n, force=True) == []
 
 
 def test_unstable_pairs_rejected():
