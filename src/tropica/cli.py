@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 stdout closed before the output was written,
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -21,7 +22,8 @@ import types
 from fractions import Fraction
 
 from . import __version__
-from .chambers import chamber_decomposition, chamber_polynomial, walls
+from .chambers import (chamber_decomposition, chamber_polynomial,
+                       check_work, walls)
 from .elliptic_covers import FeynmanGraph, simple_hurwitz_routes
 from .errors import (ArgumentError, CrossCheckError, LoopContractionError,
                      SizeGuardError)
@@ -105,6 +107,7 @@ def _run_double_hurwitz(args):
 
 
 def _run_chambers(args):
+    check_work(args.lmu, args.lnu, force=args.force)
     forms = walls(args.lmu, args.lnu)
     chambers = chamber_decomposition(args.lmu, args.lnu)
     rows = []
@@ -249,8 +252,7 @@ def _run_moduli(args):
         } for t, flag in zip(types, folded)],
     }
     if poset:
-        payload["covers"] = [[lower, upper]
-                             for lower, upper in poset.covers]
+        payload["covers"] = list(poset.covers)  # pairs encode as arrays
     return payload
 
 
@@ -463,7 +465,10 @@ def _cache_params(args):
 def _with_cache(args, compute):
     if not args.cache_dir:
         return compute()
-    os.makedirs(args.cache_dir, exist_ok=True)
+    try:
+        os.makedirs(args.cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise ArgumentError(f"cannot create cache directory: {exc}")
     blob = json.dumps({"command": args.command,
                        "parameters": _cache_params(args),
                        "schema": SCHEMA_VERSION,
@@ -478,9 +483,14 @@ def _with_cache(args, compute):
         pass  # missing, unreadable or truncated: recompute and overwrite
     payload = compute()
     scratch = f"{path}.{os.getpid()}.tmp"
-    with open(scratch, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-    os.replace(scratch, path)
+    try:
+        with open(scratch, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        os.replace(scratch, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(scratch)
+        raise ArgumentError(f"cannot write to cache directory: {exc}")
     return payload
 
 

@@ -116,6 +116,14 @@ class Multigraph:
         if n > 1 and min(self.valences()) == 0:
             raise ArgumentError("isolated vertex in a multi-vertex graph")
 
+    @classmethod
+    def _trusted(cls, num_vertices, edges, legs, genus):
+        """Set the four fields from tuples that are valid by construction."""
+        g = object.__new__(cls)
+        g.num_vertices, g.edges, g.legs, g.genus = (num_vertices, edges,
+                                                    legs, genus)
+        return g
+
     # -- basic counts ---------------------------------------------------
 
     @property
@@ -302,6 +310,9 @@ def _refined_colors(g: Multigraph):
         (g.genus[v], valence[v], loops[v], tuple(sorted(labels[v])))
         for v in range(n)
     ])
+    # a discrete coloring ranks to itself in the next round
+    if len(set(colors)) == n:
+        return colors
     while True:
         new_colors = _ranks([
             (colors[v], tuple(sorted((colors[w], m) for w, m in nbrs[v])))
@@ -439,7 +450,7 @@ def canonical_form(g: Multigraph):
     isomorphic exactly when their canonical graphs are equal.
     """
     (n, genus, edges, legs), ties = _search(g)
-    return Multigraph(n, edges, legs, genus), ties[0]
+    return Multigraph._trusted(n, edges, legs, genus), ties[0]
 
 
 def canonical_key(g: Multigraph) -> str:
@@ -568,7 +579,7 @@ def enumerate_graphs(num_vertices, degree_sequence, num_legs=0,
     if (total - k) % 2 != 0 or total < k:
         return []
 
-    reps = {}
+    reps = set()
     for assignment in product(range(n), repeat=k):
         residual = list(degrees)
         legs = []
@@ -591,9 +602,8 @@ def enumerate_graphs(num_vertices, degree_sequence, num_legs=0,
                 continue
             if not g.is_connected():
                 continue
-            canon = canonical_form(g)[0]
-            reps.setdefault(serialize(canon), canon)
-    return [reps[key] for key in sorted(reps)]
+            reps.add(canonical_form(g)[0])
+    return sorted(reps, key=serialize)
 
 
 # -- contraction ----------------------------------------------------------
@@ -612,21 +622,26 @@ def contract_edge(g: Multigraph, edge_index: int) -> Multigraph:
     if u == v:
         raise LoopContractionError("cannot contract a loop edge this way")
 
+    deg = g.valences()
+    if g.num_vertices > 2 and deg[u] + deg[v] == 2:
+        raise ArgumentError("isolated vertex in a multi-vertex graph")
+
     def remap(x):
         if x == v:
             return u
         return x - 1 if x > v else x
 
-    edges = [
-        (remap(a), remap(b))
-        for i, (a, b) in enumerate(g.edges)
-        if i != edge_index
-    ]
-    legs = [(remap(w), label) for w, label in g.legs]
+    edges = []
+    for i, (a, b) in enumerate(g.edges):
+        if i != edge_index:
+            a, b = remap(a), remap(b)  # (a, v) with u < a comes out reversed
+            edges.append((a, b) if a <= b else (b, a))
+    legs = tuple((remap(w), label) for w, label in g.legs)
     genus = list(g.genus)
     genus[u] += genus[v]
     del genus[v]
-    return Multigraph(g.num_vertices - 1, edges, legs, genus)
+    return Multigraph._trusted(g.num_vertices - 1, tuple(edges), legs,
+                               tuple(genus))
 
 
 def contract_loop(g: Multigraph, edge_index: int) -> Multigraph:
@@ -640,10 +655,12 @@ def contract_loop(g: Multigraph, edge_index: int) -> Multigraph:
     u, v = g.edges[edge_index]
     if u != v:
         raise ArgumentError("contract_loop needs a loop edge")
-    edges = [e for i, e in enumerate(g.edges) if i != edge_index]
+    if g.num_vertices > 1 and g.valences()[u] == 2:
+        raise ArgumentError("isolated vertex in a multi-vertex graph")
+    edges = g.edges[:edge_index] + g.edges[edge_index + 1:]
     genus = list(g.genus)
     genus[u] += 1
-    return Multigraph(g.num_vertices, edges, g.legs, genus)
+    return Multigraph._trusted(g.num_vertices, edges, g.legs, tuple(genus))
 
 
 # -- local conditions ------------------------------------------------------

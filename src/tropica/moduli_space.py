@@ -11,6 +11,7 @@ of its vertex, so the total genus is constant along the poset.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ArgumentError, CrossCheckError, SizeGuardError
 from .graphs import (Multigraph, automorphisms, canonical_form,
@@ -35,7 +36,7 @@ class CombinatorialType:
     def dimension(self) -> int:
         return self.graph.num_edges
 
-    @property
+    @cached_property
     def key(self) -> str:
         return serialize(self.graph)
 
@@ -74,18 +75,16 @@ def enumerate_types(genus, num_legs, force=False):
             f"genus {g} with {n} marks is about {work} types of work "
             f"({2 * vertices - 1}!! for {vertices} vertices), past the "
             f"guard of {WORK_GUARD}; pass force=True to run anyway")
-    found = {}
+    found = []
     for num_edges in range(3 * g - 3 + n + 1):
         for num_vertices in range(max(1, num_edges + 1 - g),
                                   num_edges + 2):
             seeds = _genus_decorated_skeletons(g, n, num_edges, num_vertices)
-            for key, graph in _attach_legs(seeds, n).items():
-                if all(vertex_stable(h, k)
-                       for h, k in zip(graph.genus, graph.valences())):
-                    found.setdefault(key, graph)
-    return [CombinatorialType(graph)
-            for _, graph in sorted(found.items(),
-                                   key=lambda kv: (kv[1].num_edges, kv[0]))]
+            found += [CombinatorialType(graph)
+                      for graph in _attach_legs(seeds, n)
+                      if all(vertex_stable(h, k) for h, k
+                             in zip(graph.genus, graph.valences()))]
+    return sorted(found, key=lambda t: (t.dimension, t.key))
 
 
 def _genus_decorated_skeletons(g, num_legs, num_edges, num_vertices):
@@ -94,7 +93,7 @@ def _genus_decorated_skeletons(g, num_legs, num_edges, num_vertices):
     Only valence sequences that num_legs legs can still make stable are
     searched; see _least_deficit.
     """
-    seeds = {}
+    seeds = set()
     total = 2 * num_edges
     # every connected skeleton here has the same first Betti number
     budget = g - (num_edges - num_vertices + 1)
@@ -112,9 +111,8 @@ def _genus_decorated_skeletons(g, num_legs, num_edges, num_vertices):
         for skeleton in enumerate_graphs(num_vertices, valences,
                                          allow_loops=True):
             for assign in compositions_of(budget, num_vertices):
-                canon = canonical_form(Multigraph(
-                    num_vertices, skeleton.edges, (), assign))[0]
-                seeds.setdefault(serialize(canon), canon)
+                seeds.add(canonical_form(Multigraph(
+                    num_vertices, skeleton.edges, (), assign))[0])
     return seeds
 
 
@@ -142,20 +140,18 @@ def _attach_legs(seeds, num_legs):
     Classes that cannot reach stability with the legs still to come
     are pruned early.
     """
-    current = {key: graph for key, graph in seeds.items()
-               if _deficit(graph) <= num_legs}
+    current = {graph for graph in seeds if _deficit(graph) <= num_legs}
     for label in range(1, num_legs + 1):
         remaining = num_legs - label
-        nxt = {}
-        for graph in current.values():
+        nxt = set()
+        for graph in current:
             for v in range(graph.num_vertices):
-                extended = Multigraph(graph.num_vertices, graph.edges,
-                                      tuple(graph.legs) + ((v, label),),
-                                      graph.genus)
-                if _deficit(extended) > remaining:
-                    continue
-                canon = canonical_form(extended)[0]
-                nxt.setdefault(serialize(canon), canon)
+                # a new label on a leg-free or all-labeled graph stays valid
+                extended = Multigraph._trusted(
+                    graph.num_vertices, graph.edges,
+                    graph.legs + ((v, label),), graph.genus)
+                if _deficit(extended) <= remaining:
+                    nxt.add(canonical_form(extended)[0])
         current = nxt
     return current
 
@@ -179,7 +175,8 @@ def is_folded(graph: Multigraph) -> bool:
 def build_poset(types) -> ConePoset:
     """Cover relations by single-edge contraction, plus folding flags."""
     types = tuple(types)
-    index = {t.key: i for i, t in enumerate(types)}
+    # types hold canonical graphs, which hash and compare on their fields
+    index = {t.graph: i for i, t in enumerate(types)}
     covers = set()
     for upper, t in enumerate(types):
         for i, (u, v) in enumerate(t.graph.edges):
@@ -187,8 +184,7 @@ def build_poset(types) -> ConePoset:
                 contracted = contract_loop(t.graph, i)
             else:
                 contracted = contract_edge(t.graph, i)
-            key = serialize(canonical_form(contracted)[0])
-            lower = index.get(key)
+            lower = index.get(canonical_form(contracted)[0])
             if lower is None:
                 raise ArgumentError(
                     "contraction left the given type list")

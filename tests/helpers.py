@@ -1,10 +1,11 @@
 """Deliberately naive reference implementations used as test oracles.
 
 Everything here favors transparency over speed: brute-force dart and
-vertex permutations, the full product behind canonical labelling, stub
-matchings, moduli types built without pruning, direct permutation-tuple
-counts, a product over per-edge choices of elliptic edge data, and a
-pairwise series product.  Keep inputs tiny.
+vertex permutations, colour refinement and the full product behind
+canonical labelling, stub matchings, moduli types built without pruning
+and their contraction poset rebuilt through the validated constructor,
+direct permutation-tuple counts, a product over per-edge choices of
+elliptic edge data, and a pairwise series product.  Keep inputs tiny.
 """
 
 import math
@@ -12,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from tropica.graphs import (Multigraph, _refined_colors, _signature,
-                            canonical_key, enumerate_graphs)
+from tropica.graphs import (Multigraph, _signature, canonical_key,
+                            enumerate_graphs, serialize)
 
 
 # -- half-edge automorphisms ----------------------------------------------
@@ -90,6 +91,40 @@ def brute_force_automorphisms(g: Multigraph):
 
 # -- canonical labelling by the full product ------------------------------
 
+def _rank(keys):
+    order = sorted(set(keys))
+    return [order.index(key) for key in keys]
+
+
+def full_refinement(g: Multigraph):
+    """Vertex colors refined until stable, with no shortcut.
+
+    The oracle for graphs._refined_colors: the same invariant keys
+    (genus, valence, loops, sorted leg labels, then sorted (neighbor
+    color, multiplicity) pairs), recomputed from the edge list, and at
+    least one refinement round even when the start is discrete.
+    """
+    n = g.num_vertices
+    mult = {}
+    for u, v in g.edges:
+        mult[(u, v)] = mult.get((u, v), 0) + 1
+    valence = [2 * mult.get((v, v), 0)
+               + sum(m for (a, b), m in mult.items() if a != b and v in (a, b))
+               + sum(1 for w, _ in g.legs if w == v)
+               for v in range(n)]
+    colors = _rank([(g.genus[v], valence[v], mult.get((v, v), 0),
+                     tuple(sorted(label for w, label in g.legs if w == v)))
+                    for v in range(n)])
+    while True:
+        refined = _rank([
+            (colors[v], tuple(sorted(
+                (colors[b if a == v else a], m)
+                for (a, b), m in mult.items() if a != b and v in (a, b))))
+            for v in range(n)])
+        if refined == colors:
+            return colors
+        colors = refined
+
 def class_permutations(colors):
     """Yield vertex permutations (old -> new) refining the color order.
 
@@ -119,11 +154,11 @@ def brute_force_search(g: Multigraph):
     """(least signature, every permutation reaching it) over the product.
 
     The oracle for graphs._search: it computes the signature of every
-    permutation that class_permutations yields, with no pruning, and
-    keeps the ties in product order.
+    permutation that class_permutations yields for the colours of
+    full_refinement, with no pruning, and keeps the ties in product order.
     """
     best_sig, ties = None, []
-    for perm in class_permutations(_refined_colors(g)):
+    for perm in class_permutations(full_refinement(g)):
         sig = _signature(g, perm)
         if best_sig is None or sig < best_sig:
             best_sig, ties = sig, [perm]
@@ -218,6 +253,52 @@ def unpruned_type_keys(genus, num_legs):
                                    in zip(genera, graph.valences())):
                                 keys.add(canonical_key(graph))
     return keys
+
+
+def brute_force_key(g: Multigraph) -> str:
+    """Serialized least signature of the full product search."""
+    (n, genus, edges, legs), _ = brute_force_search(g)
+    return serialize(Multigraph(n, edges, legs, genus))
+
+
+def naive_poset(types):
+    """(keys, covers, folded) of the types' contraction poset, rebuilt.
+
+    The independent route for moduli_space.build_poset: each contraction
+    is built anew through the validated constructor, every graph is
+    keyed by brute_force_key, and a type is folded when it has a
+    parallel edge or loop pair or a brute-force automorphism that moves
+    some edge to another vertex pair.
+    """
+    keys = [brute_force_key(t.graph) for t in types]
+    index = {key: i for i, key in enumerate(keys)}
+    covers = set()
+    for upper, t in enumerate(types):
+        g = t.graph
+        for i, (u, v) in enumerate(g.edges):
+            rest = g.edges[:i] + g.edges[i + 1:]
+            genus = list(g.genus)
+            if u == v:
+                genus[u] += 1
+                lower = Multigraph(g.num_vertices, rest, g.legs, genus)
+            else:
+                # v merges into u; later vertices shift down by one
+                new = [x - (x > v) for x in range(g.num_vertices)]
+                new[v] = u
+                genus[u] += genus.pop(v)
+                lower = Multigraph(g.num_vertices - 1,
+                                   [(new[a], new[b]) for a, b in rest],
+                                   [(new[w], label) for w, label in g.legs],
+                                   genus)
+            covers.add((index[brute_force_key(lower)], upper))
+    folded = []
+    for t in types:
+        g = t.graph
+        edges = set(g.edges)
+        folded.append(len(edges) < len(g.edges) or any(
+            tuple(sorted((perm[a], perm[b]))) != (a, b)
+            for perm in brute_force_automorphisms(g) for a, b in edges))
+    return keys, sorted(covers), folded
 
 
 # -- symmetric group brute force ------------------------------------------

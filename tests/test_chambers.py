@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from tropica.chambers import (Chamber, ChamberPolynomial,
+from tropica.chambers import (WORK_GUARD, Chamber, ChamberPolynomial,
                               chamber_decomposition, chamber_polynomial,
-                              walls)
+                              check_work, walls)
 from tropica.errors import (ArgumentError, CrossCheckError,
-                            DegenerateInputError)
+                            DegenerateInputError, SizeGuardError)
 from tropica.line_covers import double_hurwitz_tropical
 from tropica.util import frac_str
 
@@ -244,3 +244,28 @@ def test_polynomial_term_order():
     ordered = [e for e, _ in poly.ordered_terms()]
     assert ordered == [(2, 0, 0), (1, 1, 0), (0, 0, 1), (0, 0, 0)]
     assert poly.text() == "3*mu1^2 + 2*mu1*mu2 + 5*nu1 + 1"
+
+
+@pytest.mark.parametrize("lmu, lnu", [(2, 2), (3, 2), (2, 3), (4, 1),
+                                      (1, 4), (5, 1), (1, 5)])
+def test_work_guard_admits_profiles_that_finish(lmu, lnu):
+    # each of these runs in under 3 s
+    assert check_work(lmu, lnu) <= WORK_GUARD
+
+
+@pytest.mark.parametrize("lmu, lnu", [(3, 3), (4, 2), (2, 4), (6, 1),
+                                      (1, 6)])
+def test_work_guard_refuses_profiles_that_do_not(lmu, lnu):
+    # each of these ran past 30 s; (6, 1) has no walls but 210 unknowns
+    with pytest.raises(SizeGuardError, match="steps of work"):
+        check_work(lmu, lnu)
+    assert check_work(lmu, lnu, force=True) > WORK_GUARD
+
+
+def test_work_estimate_counts_walls_and_unknowns():
+    # (walls + 1) * B^3 for B interpolation unknowns per chamber
+    assert check_work(3, 2) == (len(walls(3, 2)) + 1) * 15 ** 3
+    assert check_work(5, 1) == 56 ** 3
+    assert check_work(3, 3, force=True) == (len(walls(3, 3)) + 1) * 56 ** 3
+    with pytest.raises(ArgumentError):
+        check_work(0, 2)

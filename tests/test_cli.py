@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from tropica import (cli, elliptic_covers, feynman_series, line_covers,
-                     moduli_space)
+from tropica import (chambers, cli, elliptic_covers, feynman_series,
+                     line_covers, moduli_space)
 from tropica.cli import main
 from tropica.errors import LoopContractionError
 from tropica.feynman_series import MirrorRow
@@ -289,6 +289,21 @@ def test_moduli_size_guard_and_force(capsys, monkeypatch):
     assert run(capsys, *argv, "--force") == expected
 
 
+def test_chambers_size_guard_and_force(capsys, monkeypatch):
+    code, out, err = run(capsys, "chambers", "--lmu", "3", "--lnu", "3")
+    assert (code, out) == (3, "")
+    assert ("size guard: lmu 3, lnu 3 is about 3336704 steps of work "
+            "(at least 19 chambers, 56^3 for the 56 unknowns of each)"
+            in err)
+    # past a lowered guard, --force runs the job and changes nothing
+    argv = ("chambers", "--lmu", "2", "--lnu", "2", "--json")
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setattr(chambers, "WORK_GUARD", 10)
+    assert run(capsys, *argv)[:2] == (3, "")
+    assert run(capsys, *argv, "--force") == expected
+
+
 def test_mirror_check_matches(capsys):
     code, out, _ = run(capsys, "mirror-check", "--genus", "2",
                        "--dmax", "2")
@@ -438,6 +453,27 @@ def test_cache_key_holds_the_package_version(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
     assert run(capsys, *args)[0] == 0
     assert len(list(cache.iterdir())) == 2
+
+
+def test_unusable_cache_dir_exits_2(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("", encoding="utf-8")
+    argv = ("moduli", "--genus", "0", "--marks", "4", "--cache-dir")
+    for where in (plain / "sub", plain):
+        code, out, err = run(capsys, *argv, str(where))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot create cache directory: ")
+    # an entry path taken by a directory cannot be written
+    cache = tmp_path / "cache"
+    expected = run(capsys, "moduli", "--genus", "0", "--marks", "4")
+    assert run(capsys, *argv, str(cache)) == expected
+    (entry,) = cache.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run(capsys, *argv, str(cache))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write to cache directory: ")
+    assert [p.name for p in cache.iterdir()] == [entry.name]
 
 
 @pytest.mark.parametrize("argv, flag, check", [

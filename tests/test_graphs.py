@@ -7,12 +7,13 @@ import sys
 import pytest
 
 from helpers import (brute_force_automorphisms, brute_force_search,
-                     halfedge_aut_order, random_relabel,
+                     full_refinement, halfedge_aut_order, random_relabel,
                      stub_matching_classes)
 from tropica.errors import ArgumentError, LoopContractionError
 from tropica.graphs import (
     Multigraph,
     Partition,
+    _refined_colors,
     _search,
     automorphism_group_order,
     automorphisms,
@@ -194,6 +195,64 @@ def test_search_matches_the_full_product():
     for g in graphs:
         for h in [g] + [random_relabel(g, rng) for _ in range(3)]:
             assert _search(h) == brute_force_search(h), serialize(h)
+
+
+def test_refined_colors_match_the_full_refinement():
+    # discrete from the start (labeled legs), discrete after refinement,
+    # and never discrete
+    graphs = [
+        Multigraph(3, [(0, 1), (1, 2), (0, 2)],
+                   legs=[(0, 1), (1, 2), (2, 3)]),
+        Multigraph(4, [(0, 1), (1, 2), (2, 3)], legs=[(0, 1), (3, 2)]),
+        Multigraph(4, [(0, 1), (1, 2), (2, 3)], genus=[1, 0, 0, 0]),
+        Multigraph(3, [(0, 1), (1, 2)], genus=[1, 0, 2]),
+        theta(), k4(), wheel(5), dumbbell(), caterpillar(),
+        Multigraph(4, caterpillar().edges, legs=[(0, 0), (1, 0)]),
+    ]
+    rng = random.Random(20261019)
+    for g in graphs:
+        for h in [g] + [random_relabel(g, rng) for _ in range(5)]:
+            assert _refined_colors(h) == full_refinement(h), serialize(h)
+
+
+def _validated(g):
+    return Multigraph(g.num_vertices, g.edges, g.legs, g.genus)
+
+
+def test_derived_graphs_equal_their_validated_rebuilds():
+    # canonical_form and the contractions build their graphs without
+    # the constructor's checks
+    graphs = [
+        theta(), k4(), wheel(4), dumbbell(), caterpillar(),
+        Multigraph(2, [(0, 1)], legs=[(0, 5), (1, 6)], genus=[1, 2]),
+        Multigraph(3, [(0, 0), (0, 1), (1, 2), (0, 2)],
+                   legs=[(2, 1), (1, 2)], genus=[0, 1, 0]),
+        Multigraph(3, [(0, 1), (1, 2), (0, 2)], legs=[(0, 0), (2, 0)]),
+        # contracting (1, 5) takes (3, 5) to (3, 1)
+        Multigraph(6, [(1, 5), (3, 5), (0, 1), (2, 3), (3, 4), (0, 2),
+                       (4, 5)]),
+    ]
+    for g in graphs:
+        derived = [canonical_form(g)[0]]
+        for i, (u, v) in enumerate(g.edges):
+            derived.append(contract_loop(g, i) if u == v
+                           else contract_edge(g, i))
+        for h in derived:
+            assert h == _validated(h)
+            assert hash(h) == hash(_validated(h))
+    assert contract_edge(graphs[-1], 0).edges[0] == (1, 3)
+
+
+def test_contractions_reject_an_isolated_vertex():
+    disconnected = Multigraph(3, [(0, 0), (1, 2)])
+    with pytest.raises(ArgumentError):
+        contract_edge(disconnected, 1)
+    with pytest.raises(ArgumentError):
+        contract_loop(disconnected, 0)
+    # a lone vertex left with no half-edges is a valid graph
+    assert contract_loop(Multigraph(1, [(0, 0)]), 0) == Multigraph(
+        1, genus=[1])
+    assert contract_edge(Multigraph(2, [(0, 1)]), 0) == Multigraph(1)
 
 
 def test_search_cuts_most_of_the_product():

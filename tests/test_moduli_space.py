@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import unpruned_type_keys
+from helpers import naive_poset, unpruned_type_keys
 from tropica import moduli_space
 from tropica.errors import ArgumentError, SizeGuardError
 from tropica.graphs import Multigraph, canonical_key
@@ -167,6 +167,15 @@ def test_poset_is_graded_and_downward_connected():
             for _ in range(top - t.dimension):
                 cursor = {u for c in cursor for u in above.get(c, ())}
             assert any(poset.types[u].dimension == top for u in cursor)
+
+
+@pytest.mark.parametrize("g, n", [(0, 5), (1, 3), (2, 2)])
+def test_poset_matches_an_independent_route(g, n):
+    poset = build_poset(enumerate_types(g, n))
+    keys, covers, folded = naive_poset(poset.types)
+    assert keys == [t.key for t in poset.types]
+    assert covers == list(poset.covers)
+    assert folded == list(poset.folded)
 
 
 def test_max_dimension_values():
