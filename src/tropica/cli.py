@@ -33,8 +33,7 @@ from .graphs import parse_graph, serialize
 from .line_covers import (double_hurwitz_tropical, iter_line_covers,
                           multiplicity)
 from .moduli_space import build_poset, enumerate_types, is_folded
-from .sym_oracle import (ELLIPTIC_DEGREE_GUARD, ELLIPTIC_GENUS_GUARD,
-                         LINE_DEGREE_GUARD, hurwitz_elliptic, hurwitz_line)
+from .sym_oracle import hurwitz_elliptic, hurwitz_line
 from .util import frac_str
 
 SCHEMA_VERSION = "tropica/1"
@@ -61,6 +60,10 @@ def _int_list(text: str):
 
 def _run_double_hurwitz(args):
     mu, nu = _partition(args.mu), _partition(args.nu)
+    # the second route: the cover list when it is asked for, the S_d
+    # oracle otherwise, run first so that its guard refuses before the DP
+    oracle = None if args.list_covers else hurwitz_line(
+        args.genus, mu, nu, force=args.force)
     total = double_hurwitz_tropical(args.genus, mu, nu)
     payload = {
         "genus": args.genus,
@@ -69,10 +72,7 @@ def _run_double_hurwitz(args):
         "s": 2 * args.genus - 2 + len(mu) + len(nu),
         "total": frac_str(total),
     }
-    # the second route: the cover list when it is asked for or when the
-    # degree is past the oracle's guard, the S_d oracle otherwise
-    if not args.list_covers and sum(mu) <= LINE_DEGREE_GUARD:
-        oracle = hurwitz_line(args.genus, mu, nu)
+    if oracle is not None:
         if oracle != total:
             raise CrossCheckError(
                 f"the level sweep gives {total} but the S_d monodromy "
@@ -84,16 +84,15 @@ def _run_double_hurwitz(args):
         m = multiplicity(cover)
         key = num, den = m.value.numerator, m.value.denominator
         numerators[den] = numerators.get(den, 0) + num
-        if args.list_covers:
-            if key not in labels:  # one string per distinct value
-                labels[key] = frac_str(m.value)
-            rows.append({
-                "canonical": cover.canonical_text(),
-                "weightProduct": m.weight_product,
-                "forks": m.forks,
-                "wieners": m.wieners,
-                "multiplicity": labels[key],
-            })
+        if key not in labels:  # one string per distinct value
+            labels[key] = frac_str(m.value)
+        rows.append({
+            "canonical": cover.canonical_text(),
+            "weightProduct": m.weight_product,
+            "forks": m.forks,
+            "wieners": m.wieners,
+            "multiplicity": labels[key],
+        })
     rows.sort(key=operator.itemgetter("canonical"))
     total_from_covers = sum(
         (Fraction(n, d) for d, n in numerators.items()), Fraction(0))
@@ -101,8 +100,7 @@ def _run_double_hurwitz(args):
         raise CrossCheckError(
             "cover enumeration and the level sweep disagree: "
             f"{total_from_covers} vs {total}")
-    if args.list_covers:
-        payload["covers"] = rows
+    payload["covers"] = rows
     return payload
 
 
@@ -133,12 +131,6 @@ def _run_chambers(args):
 def _run_elliptic(args):
     d, g = args.degree, args.genus
     total, table = simple_hurwitz_routes(d, g, force=args.force)
-    if d <= ELLIPTIC_DEGREE_GUARD and g <= ELLIPTIC_GENUS_GUARD:
-        oracle = hurwitz_elliptic(d, g)
-        if oracle != total:
-            raise CrossCheckError(
-                f"the tropical routes give {total} but the S_d monodromy "
-                f"count gives {oracle} for degree {d}, genus {g}")
     graphs = []
     for shape, aut, orders in table:
         rows = [{
@@ -613,8 +605,11 @@ def _write(args, payload, out):
 
 def _write_matrix_file(args, payload):
     lines = [f"{r} {c} {v}" for r, c, v in payload["matrix"]["entries"]]
-    with open(args.dump_matrix, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + ("\n" if lines else ""))
+    try:
+        with open(args.dump_matrix, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + ("\n" if lines else ""))
+    except OSError as exc:
+        raise ArgumentError(f"cannot write the matrix file: {exc}")
 
 
 def main(argv=None) -> int:
@@ -640,7 +635,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
+        print(f"error: size guard: {exc}", file=sys.stderr)
         return 3
     except CrossCheckError as exc:
         print(f"cross-check failed: {exc}", file=sys.stderr)

@@ -16,16 +16,14 @@ cover at all (loop_graphs_admit_no_cover verifies this directly).
 The edge-data search (_assignments) decides edges one at a time.  The
 last open edge at a vertex is not searched: balance forces its weight.
 
-N_{d,g} has two tropical routes, checked against each other by
-simple_hurwitz_routes: the direct route enumerates unlabeled covers
-with multiplicity prod(w) / #symmetries, and the labeled route sums
-the labeled counts N_{a,Omega} of labeled_table over shapes weighted by
-1/|Aut|.  labeled_table runs one unconstrained sweep per (shape, vertex
-order) and buckets its results by multidegree; count_labeled_covers
-searches one multidegree alone.  Both routes walk _assignments, so
-`tropica elliptic` also compares the total with the S_d monodromy
-count of sym_oracle.hurwitz_elliptic, which shares no code with them,
-wherever its guard admits the input.
+N_{d,g} has two routes that share no code, checked against each other
+by simple_hurwitz_routes: the labeled counts N_{a,Omega} of
+labeled_table summed over shapes weighted by 1/|Aut|, and the content
+sums of sym_oracle.hurwitz_elliptic.  labeled_table runs one
+unconstrained sweep per (shape, vertex order) and buckets its results
+by multidegree; count_labeled_covers searches one multidegree alone.
+enumerate_elliptic_covers lists the unlabeled covers, of multiplicity
+prod(w) / #symmetries, for demos and tests; no count depends on it.
 """
 
 import itertools
@@ -37,6 +35,7 @@ from fractions import Fraction
 from .errors import ArgumentError, CrossCheckError, SizeGuardError
 from .graphs import (Multigraph, automorphism_group_order, enumerate_graphs,
                      local_rh_defect)
+from .sym_oracle import hurwitz_elliptic
 from .util import slot_of
 
 DEGREE_GUARD = 5
@@ -301,8 +300,7 @@ def enumerate_elliptic_covers(degree, genus, force=False):
                     (slots[tail], slots[v if tail == u else u], w, t)
                     for (u, v), (w, t, tail) in zip(edges, data)))
                 found[key] = EllipticCover(g, key)
-    covers = sorted(found.values(), key=lambda c: c.edges)
-    return covers
+    return sorted(found.values(), key=lambda c: c.edges)
 
 
 def labeled_table(degree, genus, force=False):
@@ -342,22 +340,20 @@ def labeled_aggregate(degree, genus, force=False):
 
 
 def simple_hurwitz_routes(degree, genus, force=False):
-    """N_{d,g} and the labeled_table it was checked against.
+    """N_{d,g} and the labeled_table it was computed from.
 
-    The direct route sums the multiplicities of the enumerated covers;
-    the labeled route sums each shape's labeled total over |Aut|.  The
-    routes must agree.
+    The labeled route sums each shape's labeled total over |Aut|; the
+    content sums of hurwitz_elliptic must give the same number.
     """
     table = labeled_table(degree, genus, force)
-    covers = enumerate_elliptic_covers(degree, genus, force)
-    direct = sum((c.multiplicity() for c in covers), Fraction(0))
     labeled = sum((Fraction(_labeled_total(orders), aut)
                    for _, aut, orders in table), Fraction(0))
-    if direct != labeled:
+    oracle = hurwitz_elliptic(degree, genus, force=True)
+    if labeled != oracle:
         raise CrossCheckError(
-            f"cover enumeration gives {direct} but labeled aggregation "
-            f"gives {labeled} for degree {degree}, genus {genus}")
-    return direct, table
+            f"labeled aggregation gives {labeled} but the S_d monodromy "
+            f"count gives {oracle} for degree {degree}, genus {genus}")
+    return labeled, table
 
 
 def simple_hurwitz_tropical(degree, genus, force=False) -> Fraction:

@@ -336,9 +336,10 @@ class MirrorRow:
 def mirror_check(genus, d_max):
     """Compare cover counts with the aggregated series, degree by degree.
 
-    The series side sums coarse integrals over all shapes of the genus
-    and all vertex orders, each shape weighted by 1/|Aut|.  Mismatches
-    are reported in the rows, not raised.
+    simple_hurwitz_tropical gives the counts, checked against the
+    content sums; the series side sums coarse integrals over all shapes
+    and vertex orders, each shape weighted by 1/|Aut|.  Series
+    mismatches are reported in the rows, not raised.
     """
     g = int(genus)
     dm = int(d_max)

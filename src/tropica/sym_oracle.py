@@ -2,37 +2,37 @@
 
 This module is an independent counting route used to validate the
 tropical enumerations.  It never touches graphs: everything reduces to
-exact integer walks on conjugacy classes of S_d.
+exact integer sums over conjugacy classes of S_d.
 
 hurwitz_line(g, mu, nu) counts tuples (sigma_0, tau_1, ..., tau_s) with
 sigma_0 of cycle type mu, each tau_i a transposition, the product
 tau_s ... tau_1 sigma_0 of cycle type nu, generating a transitive
 subgroup; the count is divided by d!.  Here s = 2g - 2 + len(mu) +
-len(nu).
+len(nu).  Products with a transposition are tallied once per
+conjugacy class (a small transfer matrix), not once per element.
 
 hurwitz_elliptic(d, g) counts tuples (alpha, beta, tau_1, ...,
 tau_{2g-2}) whose commutator [alpha, beta] times the transposition
-product is the identity, again transitive and divided by d!.
+product is the identity, again transitive and divided by d!.  By
+Frobenius's formula there are d! * sum_{lambda |- d} f2(lambda)^(2g-2)
+such tuples, f2 being the content sum, so no permutation is built.
 
-Since only cycle types matter, products with a transposition are
-tallied once per conjugacy class (a small transfer matrix) instead of
-once per group element, and transitivity is extracted afterwards by an
-inclusion-exclusion over the orbit of a marked point.  This keeps the
-oracle exact and fast for every degree the guards admit.
+Transitivity is extracted afterwards by an inclusion-exclusion over the
+orbit of a marked point.  Each oracle refuses, unless forced, a job
+whose estimated work exceeds its guard, and states the estimate.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import ArgumentError, SizeGuardError
 from .graphs import Partition
 from .util import cycle_type, partitions_of
 
-LINE_DEGREE_GUARD = 6
-ELLIPTIC_DEGREE_GUARD = 5
-ELLIPTIC_GENUS_GUARD = 3
+LINE_WORK_GUARD = 4_000_000  # _line_work; (0, (19,), (19,)) is 3,841,110
+ELLIPTIC_WORK_GUARD = 500_000  # hurwitz_elliptic's estimate; (34, 2): 423,164
 
 
 def _class_rep(parts):
@@ -46,20 +46,35 @@ def _class_rep(parts):
 
 
 def _class_size(parts) -> int:
-    d = sum(parts)
-    z = 1
-    mult = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    for p, m in mult.items():
-        z *= math.factorial(m) * p ** m
-    return math.factorial(d) // z
+    z = math.prod(math.factorial(m) * p ** m
+                  for p, m in Counter(parts).items())
+    return math.factorial(sum(parts)) // z
 
 
 @lru_cache(maxsize=None)
 def _all_types(d):
     """All cycle types of S_d, sorted."""
     return tuple(sorted(partitions_of(d)))
+
+
+def _class_count(d) -> int:
+    """p(d), the number of cycle types of S_d; p(200) past degree 200,
+    where it already puts every work estimate far past its guard."""
+    counts = [1] + [0] * min(d, 200)
+    for part in range(1, len(counts)):
+        for n in range(part, len(counts)):
+            counts[n] += counts[n - part]
+    return counts[-1]
+
+
+def _sub_multiset_counts(parts):
+    """The distinct sub-multisets of parts, counted by their sum."""
+    counts = Counter({0: 1})
+    for part, m in Counter(parts).items():
+        counts = sum((Counter({total + j * part: count
+                               for total, count in counts.items()})
+                      for j in range(m + 1)), Counter())
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -76,9 +91,8 @@ def _transposition_step(d):
         rep = _class_rep(parts)
         for a in range(d):
             for b in range(a + 1, d):
-                image = list(rep)
                 # left-multiply by the transposition (a b)
-                image = [b if x == a else a if x == b else x for x in image]
+                image = [b if x == a else a if x == b else x for x in rep]
                 step[i][index[cycle_type(tuple(image))]] += 1
     return step
 
@@ -165,12 +179,25 @@ def _line_transitive(d, mu, nu, s) -> int:
     return total
 
 
+def _line_work(mu, nu, s) -> int:
+    """About how many steps _line_transitive takes: p(d) * d^3 for the
+    transfer matrix, and s + 1 walk steps of p(d)^2 for each block of the
+    inclusion-exclusion, a pair of sub-multisets of mu and nu with equal
+    sums."""
+    p = _class_count(sum(mu))
+    nu_counts = _sub_multiset_counts(nu)
+    pairs = sum(count * nu_counts[total]
+                for total, count in _sub_multiset_counts(mu).items())
+    return p * sum(mu) ** 3 + pairs * (s + 1) * p * p
+
+
 def hurwitz_line(genus, mu, nu, force=False) -> Fraction:
     """Double Hurwitz number of the line via symmetric group counts.
 
     genus is the genus of the covering curve; mu and nu are the
-    ramification profiles over the two special points.  Degrees above 6
-    are refused unless force=True.
+    ramification profiles over the two special points.  A job whose
+    _line_work estimate exceeds LINE_WORK_GUARD is refused unless
+    force=True.
     """
     g = int(genus)
     if g < 0:
@@ -180,55 +207,33 @@ def hurwitz_line(genus, mu, nu, force=False) -> Fraction:
     if mu.size != nu.size:
         raise ArgumentError("profiles must partition the same degree")
     d = mu.size
-    if d > LINE_DEGREE_GUARD and not force:
-        raise SizeGuardError(
-            f"degree {d} exceeds the guard ({LINE_DEGREE_GUARD}); "
-            "pass force=True to compute anyway")
     s = 2 * g - 2 + mu.length + nu.length
     if s < 0:
         raise ArgumentError("no transposition count fits this genus")
+    work = _line_work(mu.parts, nu.parts, s)
+    if work > LINE_WORK_GUARD and not force:
+        raise SizeGuardError(
+            f"degree {d} with {s} transpositions is about {work} steps of "
+            f"work, past the guard of {LINE_WORK_GUARD}; pass force=True "
+            "to run anyway")
     count = _line_transitive(d, mu.parts, nu.parts, s)
     return Fraction(count, math.factorial(d))
 
 
 @lru_cache(maxsize=None)
-def _commutator_distribution(d):
-    """Class distribution of [alpha, beta] over all pairs in S_d^2.
-
-    Conjugation-equivariance lets alpha run over class representatives
-    only, weighted by class size.
-    """
-    types = _all_types(d)
-    dist = {t: 0 for t in types}
-    everyone = list(permutations(range(d)))
-    for parts in types:
-        alpha = _class_rep(parts)
-        weight = _class_size(parts)
-        inv_alpha = [0] * d
-        for i, v in enumerate(alpha):
-            inv_alpha[v] = i
-        for beta in everyone:
-            inv_beta = [0] * d
-            for i, v in enumerate(beta):
-                inv_beta[v] = i
-            comm = tuple(alpha[beta[inv_alpha[inv_beta[x]]]] for x in range(d))
-            dist[cycle_type(comm)] += weight
-    return dist
+def _content_sums(d):
+    """f2(lambda) for each partition lambda of d: the sum of j - i over
+    the boxes (i, j) of its diagram."""
+    return tuple(sum(part * (part - 1) // 2 - i * part
+                     for i, part in enumerate(lam))
+                 for lam in partitions_of(d))
 
 
 @lru_cache(maxsize=None)
 def _elliptic_all(d, s) -> int:
     """Tuples (alpha, beta, s transpositions) multiplying to the identity,
-    transitivity not required."""
-    identity = (1,) * d
-    dist = _commutator_distribution(d)
-    total = 0
-    for start_type, pairs in dist.items():
-        if pairs == 0:
-            continue
-        walks = _walks(d, start_type, s)
-        total += pairs * walks.get(identity, 0)
-    return total
+    transitivity not required: d! * sum of f2(lambda)^s (Frobenius)."""
+    return math.factorial(d) * sum(f ** s for f in _content_sums(d))
 
 
 @lru_cache(maxsize=None)
@@ -250,20 +255,22 @@ def _elliptic_transitive(d, s) -> int:
 def hurwitz_elliptic(degree, genus, force=False) -> Fraction:
     """Simple Hurwitz number of an elliptic curve via monodromy counts.
 
-    Covers of degree `degree` by genus-`genus` curves with 2g - 2 simple
-    branch points.  Degrees above 5 or genus above 3 are refused unless
-    force=True.
+    Covers of degree `degree` by genus-`genus` curves with s = 2g - 2
+    simple branch points.  The content sums of the partitions of each
+    degree up to d cost about p(d) * d steps, and the inclusion-exclusion
+    about (d * s)^2; a job whose estimate exceeds ELLIPTIC_WORK_GUARD is
+    refused unless force=True.
     """
-    d = int(degree)
-    g = int(genus)
+    d, g = int(degree), int(genus)
     if d < 1:
         raise ArgumentError("degree must be positive")
     if g < 1:
         raise ArgumentError("genus must be at least 1")
-    if (d > ELLIPTIC_DEGREE_GUARD or g > ELLIPTIC_GENUS_GUARD) and not force:
+    s = 2 * g - 2
+    work = _class_count(d) * d + (d * s) ** 2
+    if work > ELLIPTIC_WORK_GUARD and not force:
         raise SizeGuardError(
-            f"degree {d}, genus {g} exceeds the guard "
-            f"(degree {ELLIPTIC_DEGREE_GUARD}, genus {ELLIPTIC_GENUS_GUARD}); "
-            "pass force=True to compute anyway")
-    count = _elliptic_transitive(d, 2 * g - 2)
+            f"degree {d}, genus {g} is about {work} steps of work, past the "
+            f"guard of {ELLIPTIC_WORK_GUARD}; pass force=True to run anyway")
+    count = _elliptic_transitive(d, s)
     return Fraction(count, math.factorial(d))

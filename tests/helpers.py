@@ -4,8 +4,9 @@ Everything here favors transparency over speed: brute-force dart and
 vertex permutations, colour refinement and the full product behind
 canonical labelling, stub matchings, moduli types built without pruning
 and their contraction poset rebuilt through the validated constructor,
-direct permutation-tuple counts, a product over per-edge choices of
-elliptic edge data, and a pairwise series product.  Keep inputs tiny.
+direct permutation-tuple counts, the commutator loop over S_d, a
+product over per-edge choices of elliptic edge data, and a pairwise
+series product.  Keep inputs tiny.
 """
 
 import math
@@ -15,6 +16,7 @@ from itertools import permutations, product
 
 from tropica.graphs import (Multigraph, _signature, canonical_key,
                             enumerate_graphs, serialize)
+from tropica.sym_oracle import _all_types, _class_rep, _class_size, _walks
 
 
 # -- half-edge automorphisms ----------------------------------------------
@@ -402,6 +404,37 @@ def naive_elliptic_hurwitz(degree, genus) -> Fraction:
                 if is_transitive((alpha, beta) + taus, d):
                     count += 1
     return Fraction(count, math.factorial(d))
+
+
+@lru_cache(maxsize=None)
+def commutator_distribution(d):
+    """Class distribution of [alpha, beta] over all pairs in S_d^2.
+
+    Conjugation-equivariance lets alpha run over class representatives
+    only, weighted by class size.  Loops over all of S_d per class;
+    keep d <= 6.
+    """
+    types = _all_types(d)
+    dist = {t: 0 for t in types}
+    everyone = list(permutations(range(d)))
+    for parts in types:
+        alpha = _class_rep(parts)
+        weight = _class_size(parts)
+        inv_alpha = inverse(alpha)
+        for beta in everyone:
+            comm = compose(compose(alpha, beta),
+                           compose(inv_alpha, inverse(beta)))
+            dist[cycle_type(comm)] += weight
+    return dist
+
+
+def commutator_elliptic_all(d, s) -> int:
+    """Tuples (alpha, beta, s transpositions) multiplying to the identity,
+    transitivity not required: each commutator class walked through the
+    transposition transfer matrix of sym_oracle, no content sums."""
+    identity = (1,) * d
+    return sum(pairs * _walks(d, start, s).get(identity, 0)
+               for start, pairs in commutator_distribution(d).items())
 
 
 def random_relabel(g: Multigraph, rng) -> Multigraph:

@@ -4,13 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tropica import (chambers, cli, elliptic_covers, feynman_series,
-                     line_covers, moduli_space)
+                     line_covers, moduli_space, sym_oracle)
 from tropica.cli import main
 from tropica.errors import LoopContractionError
 from tropica.feynman_series import MirrorRow
@@ -81,7 +82,7 @@ def test_double_hurwitz_enumerates_only_when_listing(capsys, monkeypatch):
 
 def test_double_hurwitz_oracle_mismatch_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(cli, "hurwitz_line",
-                        lambda genus, mu, nu: Fraction(-1))
+                        lambda genus, mu, nu, force=False: Fraction(-1))
     code, out, err = run(capsys, "double-hurwitz", "--genus", "1",
                          "--mu", "3", "--nu", "3")
     assert code == 4
@@ -89,19 +90,19 @@ def test_double_hurwitz_oracle_mismatch_exits_4(capsys, monkeypatch):
     assert "S_d monodromy count gives -1" in err
 
 
-def test_double_hurwitz_past_the_oracle_guard_checks_covers(
+def test_double_hurwitz_past_degree_six_checks_the_oracle(
         capsys, monkeypatch):
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return line_covers.iter_line_covers(*args)
+        return sym_oracle.hurwitz_line(*args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the oracle ran past its guard")
+    def refuse(*args):
+        raise AssertionError("must not run here")
 
-    monkeypatch.setattr(cli, "iter_line_covers", counted)
-    monkeypatch.setattr(cli, "hurwitz_line", refuse)
+    monkeypatch.setattr(cli, "hurwitz_line", counted)
+    monkeypatch.setattr(cli, "iter_line_covers", refuse)
     argv = ("double-hurwitz", "--genus", "0", "--mu", "4,3",
             "--nu", "3,2,2", "--json")
     code, out, _ = run(capsys, *argv)
@@ -111,11 +112,38 @@ def test_double_hurwitz_past_the_oracle_guard_checks_covers(
     assert "covers" not in result
     assert Fraction(result["total"]) == line_covers.double_hurwitz_tropical(
         0, (4, 3), (3, 2, 2))
+    # with --list-covers the cover enumeration is the second route
+    monkeypatch.setattr(cli, "iter_line_covers", line_covers.iter_line_covers)
     monkeypatch.setattr(cli, "double_hurwitz_tropical",
                         lambda genus, mu, nu: Fraction(-1))
-    code, _, err = run(capsys, *argv)
+    code, _, err = run(capsys, *argv, "--list-covers")
     assert code == 4
     assert "cover enumeration and the level sweep disagree" in err
+    # past the oracle's guard the refusal comes before the DP runs
+    monkeypatch.setattr(cli, "double_hurwitz_tropical", refuse)
+    code, _, err = run(capsys, "double-hurwitz", "--genus", "3",
+                       "--mu", "10,10", "--nu", "4,4,4,4,4")
+    assert code == 3
+    assert "about 14451096 steps of work" in err
+
+
+@pytest.mark.parametrize("genus, mu, nu", [
+    ("3", "5,4", "3,3,3"), ("4", "6,3", "3,3,3"), ("5", "8", "2,2,2,2")])
+def test_double_hurwitz_large_degrees_finish_quickly(capsys, monkeypatch,
+                                                     genus, mu, nu):
+    # these took 20 s to over 40 s while past degree 6 the covers were
+    # enumerated as the second route
+    def refuse(*args):
+        raise AssertionError("covers enumerated without --list-covers")
+
+    monkeypatch.setattr(cli, "iter_line_covers", refuse)
+    start = time.monotonic()
+    code, out, _ = run(capsys, "double-hurwitz", "--genus", genus,
+                       "--mu", mu, "--nu", nu)
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    assert Fraction(out) == sym_oracle.hurwitz_line(
+        int(genus), cli._partition(mu), cli._partition(nu))
 
 
 def test_elliptic_value(capsys):
@@ -153,51 +181,41 @@ def test_elliptic_json_structure(capsys):
 
 def test_elliptic_runs_one_labeled_sweep(capsys, monkeypatch):
     # the labeled table takes one unconstrained edge-data sweep per
-    # (shape, order), and the direct route one more
-    sweeps, route = [], ["labeled"]
+    # (shape, order), and the content sums take none
+    sweeps = []
     assignments = elliptic_covers._assignments
-    enumerate_covers = elliptic_covers.enumerate_elliptic_covers
 
     def counted(edges, slots, degree, multidegree=None):
-        sweeps.append((route[0], tuple(edges), tuple(slots), multidegree))
+        sweeps.append((tuple(edges), tuple(slots), multidegree))
         return assignments(edges, slots, degree, multidegree)
 
-    def direct(*args, **kwargs):
-        route[0] = "direct"
-        try:
-            return enumerate_covers(*args, **kwargs)
-        finally:
-            route[0] = "labeled"
-
     monkeypatch.setattr(elliptic_covers, "_assignments", counted)
-    monkeypatch.setattr(elliptic_covers, "enumerate_elliptic_covers", direct)
     code, _, _ = run(capsys, "elliptic", "--degree", "3", "--genus", "2",
                      "--json")
     assert code == 0
-    expected = [(name, shape.graph.edges, tuple(slot_of(order)), None)
-                for name in ("labeled", "direct")
+    expected = [(shape.graph.edges, tuple(slot_of(order)), None)
                 for shape in elliptic_covers.enumerate_feynman_graphs(2)
                 for order in itertools.permutations(range(2))]
-    assert len(expected) == 4
+    assert len(expected) == 2
     assert sorted(sweeps) == sorted(expected)
 
 
 def test_elliptic_oracle_mismatch_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr("tropica.cli.hurwitz_elliptic",
-                        lambda degree, genus: Fraction(17))
+    monkeypatch.setattr("tropica.elliptic_covers.hurwitz_elliptic",
+                        lambda degree, genus, force=False: Fraction(17))
     code, out, err = run(capsys, "elliptic", "--degree", "3", "--genus", "2")
     assert (code, out) == (4, "")
     assert "S_d monodromy count gives 17" in err
 
 
-def test_elliptic_direct_route_mismatch_exits_4(capsys, monkeypatch):
-    enumerate_covers = elliptic_covers.enumerate_elliptic_covers
-    monkeypatch.setattr(elliptic_covers, "enumerate_elliptic_covers",
-                        lambda d, g, force=False:
-                        enumerate_covers(d, g, force)[1:])
-    code, out, err = run(capsys, "elliptic", "--degree", "3", "--genus", "2")
+def test_elliptic_labeled_table_mismatch_exits_4(capsys, monkeypatch):
+    table = elliptic_covers.labeled_table
+    monkeypatch.setattr(elliptic_covers, "labeled_table",
+                        lambda d, g, force=False: table(d, g, force)[1:])
+    code, out, err = run(capsys, "elliptic", "--degree", "3", "--genus", "3")
     assert (code, out) == (4, "")
-    assert "cover enumeration gives" in err
+    assert "labeled aggregation gives" in err
+    assert "S_d monodromy count gives 160" in err
 
 
 def test_oracle_values(capsys):
@@ -311,6 +329,17 @@ def test_mirror_check_matches(capsys):
     lines = out.splitlines()
     assert lines[0] == "d=1 q^2 tropical=0 series=0 ok"
     assert lines[-1] == "all 2 degrees match"
+
+
+def test_mirror_check_walks_no_covers(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mirror-check enumerated covers")
+
+    monkeypatch.setattr(elliptic_covers, "enumerate_elliptic_covers", refuse)
+    code, out, _ = run(capsys, "mirror-check", "--genus", "3",
+                       "--dmax", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "all 2 degrees match"
 
 
 def test_mirror_check_mismatch_exits_4(capsys, monkeypatch):
@@ -531,6 +560,39 @@ def test_argument_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("feynman", "--graph", "{tmp}/nope.txt", "--order", "1,2",
+      "--dmax", "2"), 2),
+    (("graph-complex", "--genus", "3", "--edges", "6",
+      "--dump-matrix", "{tmp}/missing/x.txt"), 2),
+    (("moduli", "--genus", "0", "--marks", "4",
+      "--cache-dir", "{tmp}/plain/sub"), 2),
+    (("double-hurwitz", "--genus", "0", "--mu", "20", "--nu", "19,1"), 3),
+    (("chambers", "--lmu", "3", "--lnu", "3"), 3),
+    (("elliptic", "--degree", "6", "--genus", "2"), 3),
+    (("feynman", "--graph", "{tmp}/shape.txt", "--order", "1,2,3,4",
+      "--dmax", "11"), 3),
+    (("mirror-check", "--genus", "2", "--dmax", "7"), 2),
+    (("graph-complex", "--genus", "5"), 3),
+    (("moduli", "--genus", "0", "--marks", "9"), 3),
+    (("oracle", "line", "--genus", "0", "--mu", "20", "--nu", "20"), 3),
+    (("oracle", "elliptic", "--degree", "35", "--genus", "2"), 3),
+], ids=["missing-graph", "dump-matrix-dir", "cache-dir-under-file",
+        "double-hurwitz", "chambers", "elliptic", "feynman", "mirror-check",
+        "graph-complex", "moduli", "oracle-line", "oracle-elliptic"])
+def test_bad_input_is_refused_without_traceback(tmp_path, capsys, argv,
+                                                expected):
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    shape = elliptic_covers.enumerate_feynman_graphs(3)[0]
+    (tmp_path / "shape.txt").write_text(serialize(shape.graph),
+                                        encoding="utf-8")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_size_guard_and_force(capsys):
     code, _, err = run(capsys, "elliptic", "--degree", "6", "--genus", "2")
     assert code == 3
@@ -539,7 +601,7 @@ def test_size_guard_and_force(capsys):
                        "--force")
     assert code == 0
     assert out == "360\n"
-    assert run(capsys, "oracle", "elliptic", "--degree", "6",
+    assert run(capsys, "oracle", "elliptic", "--degree", "35",
                "--genus", "2")[0] == 3
 
 

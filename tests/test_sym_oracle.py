@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import naive_elliptic_hurwitz, naive_line_hurwitz
+from helpers import (commutator_elliptic_all, naive_elliptic_hurwitz,
+                     naive_line_hurwitz)
 from tropica.errors import ArgumentError, SizeGuardError
-from tropica.sym_oracle import hurwitz_line, hurwitz_elliptic
+from tropica.sym_oracle import _elliptic_all, hurwitz_line, hurwitz_elliptic
 
 
 def test_line_known_values():
@@ -57,9 +58,14 @@ def test_line_input_handling():
 
 
 def test_line_size_guard():
-    with pytest.raises(SizeGuardError):
-        hurwitz_line(0, (7,), (7,))
-    assert hurwitz_line(0, (7,), (7,), force=True) == Fraction(1, 7)
+    # the work estimate: 3,841,110 steps for (19) against (19), just
+    # under the guard of 4,000,000, and 5,802,258 for (20) against (20)
+    assert hurwitz_line(0, (19,), (19,)) == Fraction(1, 19)
+    with pytest.raises(SizeGuardError, match="about 5802258 steps"):
+        hurwitz_line(0, (20,), (20,))
+    assert hurwitz_line(0, (20,), (20,), force=True) == Fraction(1, 20)
+    # degree 7, past the former fixed limit of 6, is admitted
+    assert hurwitz_line(0, (7,), (7,)) == Fraction(1, 7)
 
 
 def test_elliptic_known_small_values():
@@ -76,13 +82,46 @@ def test_elliptic_matches_naive_enumeration():
 
 
 def test_elliptic_guards():
-    with pytest.raises(SizeGuardError):
-        hurwitz_elliptic(6, 2)
-    with pytest.raises(SizeGuardError):
-        hurwitz_elliptic(2, 4)
+    # the work estimate p(d) * d + (d * s)^2: 423,164 steps at (34, 2),
+    # just under the guard of 500,000, and 525,805 at (35, 2); 480420 is
+    # helpers.elliptic_genus_two_content_sum(34)
+    assert hurwitz_elliptic(34, 2) == 480420
+    with pytest.raises(SizeGuardError, match="about 525805 steps"):
+        hurwitz_elliptic(35, 2)
     with pytest.raises(ArgumentError):
         hurwitz_elliptic(0, 2)
     with pytest.raises(ArgumentError):
         hurwitz_elliptic(2, 0)
-    # forcing past the genus guard stays cheap thanks to the class walk
-    assert hurwitz_elliptic(2, 4, force=True) == naive_elliptic_hurwitz(2, 4)
+    # (6, 2) and (2, 4), past the former fixed limits, are admitted
+    assert hurwitz_elliptic(6, 2) == 360
+    assert hurwitz_elliptic(2, 4) == naive_elliptic_hurwitz(2, 4)
+    assert hurwitz_elliptic(35, 2, force=True) > 0
+
+
+def test_content_sums_match_commutator_loop():
+    for d in range(1, 7):
+        for g in (1, 2, 3):
+            assert _elliptic_all(d, 2 * g - 2) == commutator_elliptic_all(
+                d, 2 * g - 2), (d, g)
+
+
+def _eisenstein(weight, factor, n_max):
+    """1 + factor * sum_n sigma_{weight - 1}(n) q^n, as coefficients."""
+    return [1] + [factor * sum(k ** (weight - 1) for k in range(1, n + 1)
+                               if n % k == 0) for n in range(1, n_max + 1)]
+
+
+def _times(a, b):
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def test_genus_two_matches_dijkgraaf():
+    # Dijkgraaf's F_2 = (10 E_2^3 - 6 E_2 E_4 - 4 E_6) / 103680, whose
+    # q^d coefficient is half the genus-2 count: no content sums involved
+    e2, e4, e6 = (_eisenstein(2, -24, 12), _eisenstein(4, 240, 12),
+                  _eisenstein(6, -504, 12))
+    f2 = [Fraction(10 * a - 6 * b - 4 * c, 103680) for a, b, c in
+          zip(_times(_times(e2, e2), e2), _times(e2, e4), e6)]
+    expected = [0, 2, 16, 60, 160, 360, 672, 1240, 1920, 3180, 4400, 6832]
+    assert [2 * f2[d] for d in range(1, 13)] == expected
+    assert [hurwitz_elliptic(d, 2) for d in range(1, 13)] == expected
