@@ -39,21 +39,18 @@ from .util import frac_str
 SCHEMA_VERSION = "tropica/1"
 
 
-def _partition(text: str):
-    try:
-        parts = tuple(int(p) for p in str(text).split(",") if p.strip())
-    except ValueError:
-        raise ArgumentError(f"not a partition: {text!r}")
-    if not parts or any(p < 1 for p in parts):
-        raise ArgumentError("partitions need positive integer parts")
-    return tuple(sorted(parts, reverse=True))
-
-
 def _int_list(text: str):
     try:
         return tuple(int(p) for p in str(text).split(",") if p.strip())
     except ValueError:
         raise ArgumentError(f"not an integer list: {text!r}")
+
+
+def _partition(text: str):
+    parts = _int_list(text)
+    if not parts or any(p < 1 for p in parts):
+        raise ArgumentError("partitions need positive integer parts")
+    return tuple(sorted(parts, reverse=True))
 
 
 # -- computations (format independent payloads) ----------------------------
@@ -259,182 +256,118 @@ def _run_oracle(args):
             "genus": args.genus, "value": frac_str(value)}
 
 
-# -- text rendering ---------------------------------------------------------
+# -- views: the cells that text and CSV both read --------------------------
+#
+# Each view returns (text lines, CSV header, CSV rows) for one payload.
 
-def _text_double_hurwitz(args, payload):
-    if args.list_covers:
-        for row in payload["covers"]:
-            yield (f"mult={row['multiplicity']} "
-                   f"weight={row['weightProduct']} forks={row['forks']} "
-                   f"wieners={row['wieners']} :: {row['canonical']}")
-    yield payload["total"]
+def _joined(values):
+    return ",".join(str(v) for v in values)
 
 
-def _text_chambers(args, payload):
-    lines = ["walls:"]
-    lines += [f"  {w}" for w in payload["walls"]]
-    lines.append("chambers:")
-    for row in payload["chambers"]:
-        signs = "".join(row["signs"])
-        mu = ",".join(str(m) for m in row["witnessMu"])
-        nu = ",".join(str(n) for n in row["witnessNu"])
-        lines.append(f"  [{signs}] witness mu=({mu}) nu=({nu}): "
-                     f"{row['polynomial']}")
-    return lines
+def _yes_no(flag):
+    return "yes" if flag else "no"
 
 
-def _text_elliptic(args, payload):
-    lines = []
-    if args.per_graph:
-        for i, row in enumerate(payload["graphs"]):
-            lines.append(
-                f"graph {i}: |Aut|={row['automorphisms']} "
-                f"labeled={row['labeledTotal']} "
-                f"contribution={row['contribution']}")
-    lines.append(payload["total"])
-    return lines
+def _view_double_hurwitz(args, payload):
+    # generators, so that a listed cover run streams in either format
+    covers = payload.get("covers", ())
+    total = payload["total"]
+    lines = itertools.chain(
+        (f"mult={r['multiplicity']} weight={r['weightProduct']} "
+         f"forks={r['forks']} wieners={r['wieners']} :: {r['canonical']}"
+         for r in covers), [total])
+    rows = itertools.chain(
+        ([r["canonical"], r["weightProduct"], r["forks"], r["wieners"],
+          r["multiplicity"]] for r in covers),
+        [["total", "", "", "", total]])
+    return lines, ["canonical", "weight_product", "forks", "wieners",
+                   "multiplicity"], rows
 
 
-def _text_feynman(args, payload):
-    lines = []
-    for term in payload["terms"]:
-        exps = ",".join(str(e) for e in term["qExponents"])
-        lines.append(f"q^({exps}) = {term['coefficient']}")
-    if not lines:
-        lines.append("0")
-    return lines
+def _view_chambers(args, payload):
+    rows = [["".join(r["signs"]), _joined(r["witnessMu"]),
+             _joined(r["witnessNu"]), r["degree"], r["polynomial"]]
+            for r in payload["chambers"]]
+    lines = ["walls:", *(f"  {w}" for w in payload["walls"]), "chambers:"]
+    lines += [f"  [{signs}] witness mu=({mu}) nu=({nu}): {poly}"
+              for signs, mu, nu, _, poly in rows]
+    return lines, ["signs", "witness_mu", "witness_nu", "degree",
+                   "polynomial"], rows
 
 
-def _text_mirror_check(args, payload):
-    lines = []
-    for row in payload["rows"]:
-        verdict = "ok" if row["match"] else "MISMATCH"
-        lines.append(
-            f"d={row['degree']} q^{row['qPower']} "
-            f"tropical={row['tropical']} series={row['series']} {verdict}")
-    if payload["allMatch"]:
-        lines.append(f"all {len(payload['rows'])} degrees match")
-    else:
-        bad = sum(1 for r in payload["rows"] if not r["match"])
-        lines.append(f"{bad} of {len(payload['rows'])} degrees mismatch")
-    return lines
+def _view_elliptic(args, payload):
+    rows = [[r["graph"], r["automorphisms"], r["labeledTotal"],
+             r["contribution"]] for r in payload["graphs"]]
+    lines = [f"graph {i}: |Aut|={aut} labeled={labeled} contribution={part}"
+             for i, (_, aut, labeled, part) in enumerate(rows)]
+    total = payload["total"]
+    return ((lines if args.per_graph else []) + [total],
+            ["graph", "automorphisms", "labeled_total", "contribution"],
+            rows + [["total", "", "", total]])
 
 
-def _text_graph_complex(args, payload):
-    lines = []
-    for row in payload["rows"]:
-        suffix = " (H0)" if row["isHZero"] else ""
-        lines.append(f"n={row['edges']} basis={row['basisSize']} "
-                     f"homology={row['homologyDimension']}{suffix}")
+def _view_feynman(args, payload):
+    rows = [[_joined(t["qExponents"]), t["coefficient"]]
+            for t in payload["terms"]]
+    lines = [f"q^({exps}) = {coefficient}" for exps, coefficient in rows]
+    return lines or ["0"], ["q_exponents", "coefficient"], rows
+
+
+def _view_mirror_check(args, payload):
+    rows = [[r["degree"], r["qPower"], r["tropical"], r["series"],
+             _yes_no(r["match"])] for r in payload["rows"]]
+    lines = [f"d={d} q^{q} tropical={tropical} series={series} "
+             f"{'ok' if match == 'yes' else 'MISMATCH'}"
+             for d, q, tropical, series, match in rows]
+    bad = sum(not r["match"] for r in payload["rows"])
+    lines.append(f"all {len(rows)} degrees match" if payload["allMatch"]
+                 else f"{bad} of {len(rows)} degrees mismatch")
+    return lines, ["degree", "q_power", "tropical", "series", "match"], rows
+
+
+def _view_graph_complex(args, payload):
+    rows = [[r["edges"], r["basisSize"], r["homologyDimension"],
+             _yes_no(r["isHZero"])] for r in payload["rows"]]
+    lines = [f"n={n} basis={size} homology={dim}"
+             f"{' (H0)' if h_zero == 'yes' else ''}"
+             for n, size, dim, h_zero in rows]
     if "matrix" in payload:
         m = payload["matrix"]
         lines.append(f"matrix {m['rows']}x{m['columns']} "
                      f"({len(m['entries'])} entries) -> {args.dump_matrix}")
-    return lines
+    return lines, ["edges", "basis_size", "homology_dimension", "h_zero"], rows
 
 
-def _text_moduli(args, payload):
+def _view_moduli(args, payload):
+    rows = [[i, r["dimension"], _yes_no(r["folded"]), r["graph"]]
+            for i, r in enumerate(payload["types"])]
     lines = [f"{payload['count']} types "
              f"(max dimension {payload['maxDimension']})"]
-    for i, row in enumerate(payload["types"]):
-        folded = "yes" if row["folded"] else "no"
-        lines.append(f"type {i}: dimension {row['dimension']}, "
-                     f"folded {folded}")
-        lines += [f"  {line}" for line in row["graph"].splitlines()]
+    for i, dimension, folded, graph in rows:
+        lines.append(f"type {i}: dimension {dimension}, folded {folded}")
+        lines += [f"  {line}" for line in graph.splitlines()]
     if "covers" in payload:
         lines.append("covers:")
         lines += [f"  {lower} < {upper}"
                   for lower, upper in payload["covers"]]
-    return lines
+    return lines, ["index", "dimension", "folded", "graph"], rows
 
 
-def _text_oracle(args, payload):
-    return [payload["value"]]
+def _view_oracle(args, payload):
+    row = [_joined(v) if isinstance(v, list) else v
+           for v in payload.values()]
+    return [payload["value"]], list(payload), [row]
 
 
-# -- csv rendering ----------------------------------------------------------
-
-def _csv_double_hurwitz(payload):
-    header = ["canonical", "weight_product", "forks", "wieners",
-              "multiplicity"]
-    rows = itertools.chain(
-        ([r["canonical"], r["weightProduct"], r["forks"], r["wieners"],
-          r["multiplicity"]] for r in payload.get("covers", ())),
-        [["total", "", "", "", payload["total"]]])
-    return header, rows
-
-
-def _csv_chambers(payload):
-    header = ["signs", "witness_mu", "witness_nu", "degree", "polynomial"]
-    rows = [["".join(r["signs"]),
-             ",".join(str(m) for m in r["witnessMu"]),
-             ",".join(str(n) for n in r["witnessNu"]),
-             r["degree"], r["polynomial"]] for r in payload["chambers"]]
-    return header, rows
-
-
-def _csv_elliptic(payload):
-    header = ["graph", "automorphisms", "labeled_total", "contribution"]
-    rows = [[r["graph"], r["automorphisms"], r["labeledTotal"],
-             r["contribution"]] for r in payload["graphs"]]
-    rows.append(["total", "", "", payload["total"]])
-    return header, rows
-
-
-def _csv_feynman(payload):
-    header = ["q_exponents", "coefficient"]
-    rows = [[",".join(str(e) for e in t["qExponents"]), t["coefficient"]]
-            for t in payload["terms"]]
-    return header, rows
-
-
-def _csv_mirror_check(payload):
-    header = ["degree", "q_power", "tropical", "series", "match"]
-    rows = [[r["degree"], r["qPower"], r["tropical"], r["series"],
-             "yes" if r["match"] else "no"] for r in payload["rows"]]
-    return header, rows
-
-
-def _csv_graph_complex(payload):
-    header = ["edges", "basis_size", "homology_dimension", "h_zero"]
-    rows = [[r["edges"], r["basisSize"], r["homologyDimension"],
-             "yes" if r["isHZero"] else "no"] for r in payload["rows"]]
-    return header, rows
-
-
-def _csv_moduli(payload):
-    header = ["index", "dimension", "folded", "graph"]
-    rows = [[i, r["dimension"], "yes" if r["folded"] else "no", r["graph"]]
-            for i, r in enumerate(payload["types"])]
-    return header, rows
-
-
-def _csv_oracle(payload):
-    if payload["problem"] == "line":
-        header = ["problem", "genus", "mu", "nu", "value"]
-        rows = [["line", payload["genus"],
-                 ",".join(str(m) for m in payload["mu"]),
-                 ",".join(str(n) for n in payload["nu"]),
-                 payload["value"]]]
-    else:
-        header = ["problem", "degree", "genus", "value"]
-        rows = [["elliptic", payload["degree"], payload["genus"],
-                 payload["value"]]]
-    return header, rows
-
-
-_RUNNERS = {
-    "double-hurwitz": (_run_double_hurwitz, _text_double_hurwitz,
-                       _csv_double_hurwitz),
-    "chambers": (_run_chambers, _text_chambers, _csv_chambers),
-    "elliptic": (_run_elliptic, _text_elliptic, _csv_elliptic),
-    "feynman": (_run_feynman, _text_feynman, _csv_feynman),
-    "mirror-check": (_run_mirror_check, _text_mirror_check,
-                     _csv_mirror_check),
-    "graph-complex": (_run_graph_complex, _text_graph_complex,
-                      _csv_graph_complex),
-    "moduli": (_run_moduli, _text_moduli, _csv_moduli),
-    "oracle": (_run_oracle, _text_oracle, _csv_oracle),
+_COMMANDS = {
+    "double-hurwitz": (_run_double_hurwitz, _view_double_hurwitz),
+    "chambers": (_run_chambers, _view_chambers),
+    "elliptic": (_run_elliptic, _view_elliptic),
+    "feynman": (_run_feynman, _view_feynman),
+    "mirror-check": (_run_mirror_check, _view_mirror_check),
+    "graph-complex": (_run_graph_complex, _view_graph_complex),
+    "moduli": (_run_moduli, _view_moduli),
+    "oracle": (_run_oracle, _view_oracle),
 }
 
 
@@ -477,7 +410,8 @@ def _with_cache(args, compute):
     scratch = f"{path}.{os.getpid()}.tmp"
     try:
         with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
+            # in payload order, which the oracle's CSV columns follow
+            json.dump(payload, handle)
         os.replace(scratch, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -559,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", action="store_true",
                    help="include contraction cover relations")
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="symmetric group oracle values")
+    # the global flags go after the problem name, on line and elliptic
+    p = sub.add_parser("oracle", help="symmetric group oracle values")
     osub = p.add_subparsers(dest="problem", required=True)
     oline = osub.add_parser("line", parents=[common],
                             help="double Hurwitz number via factorizations")
@@ -569,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     oline.add_argument("--nu", required=True, metavar="PARTS")
     oelliptic = osub.add_parser("elliptic", parents=[common],
                                 help="elliptic Hurwitz number via "
-                                     "commutator factorizations")
+                                     "content sums")
     oelliptic.add_argument("--degree", type=int, required=True)
     oelliptic.add_argument("--genus", type=int, required=True)
 
@@ -579,23 +513,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _write(args, payload, out):
     """Render the payload to out, ending in a newline.
 
-    The text and CSV renderers give at least one line each.
+    Every view gives at least one text line, and CSV has its header.
     """
-    command = args.command
-    _, text_fn, csv_fn = _RUNNERS[command]
     if args.json:
-        report = {"schema": SCHEMA_VERSION, "command": command,
+        report = {"schema": SCHEMA_VERSION, "command": args.command,
                   "result": payload}
         encoder = json.JSONEncoder(indent=2, sort_keys=True)
         chunks = itertools.chain(encoder.iterencode(report), ["\n"])
-    elif args.csv:
+    else:
+        lines, header, rows = _COMMANDS[args.command][1](args, payload)
         # writerow returns what the file's write returns: here the line
         writer = csv.writer(types.SimpleNamespace(write=str),
                             lineterminator="\n")
-        header, rows = csv_fn(payload)
-        chunks = map(writer.writerow, itertools.chain([header], rows))
-    else:
-        chunks = (line + "\n" for line in text_fn(args, payload))
+        chunks = (map(writer.writerow, itertools.chain([header], rows))
+                  if args.csv else (line + "\n" for line in lines))
     # written in batches of chunks rather than as one string, since a
     # cover list runs to megabytes, and rather than chunk by chunk,
     # since stdout may be unbuffered
@@ -616,7 +547,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        runner = _RUNNERS[args.command][0]
+        runner = _COMMANDS[args.command][0]
         payload = _with_cache(args, lambda: runner(args))
         if args.command == "graph-complex" and args.dump_matrix:
             _write_matrix_file(args, payload)

@@ -97,6 +97,7 @@ def _transposition_step(d):
     return step
 
 
+@lru_cache(maxsize=None)
 def _walks(d, start_type, steps):
     """Distribution over classes after multiplying by `steps` transpositions,
     starting from one fixed element of class start_type."""

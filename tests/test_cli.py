@@ -1,6 +1,9 @@
+import csv
+import io
 import itertools
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -435,6 +438,78 @@ def test_csv_outputs(capsys):
     assert out.splitlines()[0] == "index,dimension,folded,graph"
 
 
+@pytest.mark.parametrize("argv, csv_rows, text_lines", [
+    (("double-hurwitz", "--genus", "1", "--mu", "2,1", "--nu", "2,1",
+      "--list-covers"),
+     lambda p: len(p["covers"]) + 1, lambda p: len(p["covers"]) + 1),
+    (("chambers", "--lmu", "2", "--lnu", "1"), lambda p: len(p["chambers"]),
+     lambda p: len(p["walls"]) + len(p["chambers"]) + 2),
+    (("elliptic", "--degree", "3", "--genus", "2", "--per-graph"),
+     lambda p: len(p["graphs"]) + 1, lambda p: len(p["graphs"]) + 1),
+    (("feynman", "--graph", "theta.txt", "--order", "1,2", "--dmax", "3"),
+     lambda p: len(p["terms"]), lambda p: len(p["terms"])),
+    (("mirror-check", "--genus", "2", "--dmax", "3"),
+     lambda p: len(p["rows"]), lambda p: len(p["rows"]) + 1),
+    (("graph-complex", "--genus", "3"),
+     lambda p: len(p["rows"]), lambda p: len(p["rows"])),
+    (("moduli", "--genus", "1", "--marks", "2", "--poset"),
+     lambda p: len(p["types"]),
+     lambda p: 2 + len(p["covers"]) + sum(
+         1 + len(t["graph"].splitlines()) for t in p["types"])),
+    (("oracle", "line", "--genus", "0", "--mu", "2,1", "--nu", "1,1,1"),
+     lambda p: 1, lambda p: 1),
+], ids=["double-hurwitz", "chambers", "elliptic", "feynman", "mirror-check",
+        "graph-complex", "moduli", "oracle"])
+def test_views_match_the_payload(tmp_path, capsys, monkeypatch, argv,
+                                 csv_rows, text_lines):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "theta.txt").write_text(THETA_TEXT, encoding="utf-8")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)["result"]
+    code, out, _ = run(capsys, *argv, "--csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert [len(row) for row in rows] == [len(header)] * len(rows)
+    assert len(rows) == csv_rows(payload)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == text_lines(payload)
+
+
+@pytest.mark.parametrize("flag", ["--json", "--force"])
+def test_oracle_flags_go_after_the_problem(capsys, flag):
+    for problem in (("line", "--genus", "0", "--mu", "2,1", "--nu", "2,1"),
+                    ("elliptic", "--degree", "3", "--genus", "2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", flag, *problem])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert run(capsys, "oracle", problem[0], flag, *problem[1:])[0] == 0
+
+
+def test_oracle_csv_replays_from_cache(tmp_path, capsys):
+    argv = ("oracle", "line", "--genus", "0", "--mu", "2,1", "--nu", "1,1,1",
+            "--csv", "--cache-dir", str(tmp_path))
+    first = run(capsys, *argv)
+    assert first[1].splitlines()[0] == "problem,genus,mu,nu,value"
+    assert run(capsys, *argv) == first
+
+
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line) for line in block.splitlines()]
+    assert examples and all(e[0] == "tropica" for e in examples)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "theta.txt").write_text(THETA_TEXT, encoding="utf-8")
+    for example in examples:
+        code, _, err = run(capsys, *example[1:])
+        assert (code, err) == (0, ""), example
+
+
 def test_cache_roundtrip(tmp_path, capsys):
     cache = tmp_path / "cache"
     args = ("elliptic", "--degree", "3", "--genus", "2",
@@ -528,11 +603,10 @@ def test_cache_key_holds_payload_flags(tmp_path, capsys, monkeypatch,
 
 
 def test_loop_contraction_error_exits_2(capsys, monkeypatch):
-    def refuse(args):
+    def refuse(*args, **kwargs):
         raise LoopContractionError("cannot contract a loop edge this way")
 
-    _, text_fn, csv_fn = cli._RUNNERS["moduli"]
-    monkeypatch.setitem(cli._RUNNERS, "moduli", (refuse, text_fn, csv_fn))
+    monkeypatch.setattr(cli, "enumerate_types", refuse)
     code, out, err = run(capsys, "moduli", "--genus", "1", "--marks", "2")
     assert code == 2
     assert out == ""

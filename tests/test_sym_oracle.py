@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (commutator_elliptic_all, naive_elliptic_hurwitz,
                      naive_line_hurwitz)
+from tropica import sym_oracle
 from tropica.errors import ArgumentError, SizeGuardError
 from tropica.sym_oracle import _elliptic_all, hurwitz_line, hurwitz_elliptic
 
@@ -125,3 +126,13 @@ def test_genus_two_matches_dijkgraaf():
     expected = [0, 2, 16, 60, 160, 360, 672, 1240, 1920, 3180, 4400, 6832]
     assert [2 * f2[d] for d in range(1, 13)] == expected
     assert [hurwitz_elliptic(d, 2) for d in range(1, 13)] == expected
+
+
+def test_line_runs_each_walk_once():
+    # 742 (mu, nu, s) blocks of the inclusion-exclusion share 326 walks
+    for cached in (sym_oracle._walks, sym_oracle._line_all,
+                   sym_oracle._line_transitive):
+        cached.cache_clear()
+    hurwitz_line(0, (3, 2, 1, 3, 2, 1), (2, 2, 1, 1, 2, 2, 1, 1), force=True)
+    info = sym_oracle._walks.cache_info()
+    assert (info.misses, info.hits + info.misses) == (326, 742)
