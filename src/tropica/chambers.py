@@ -24,38 +24,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (ArgumentError, CrossCheckError, DegenerateInputError,
-                     SizeGuardError)
+from .errors import ArgumentError, CrossCheckError, DegenerateInputError
 from .line_covers import double_hurwitz_tropical
 from .util import frac_str, linear_extension_count
-
-WORK_GUARD = 200_000  # check_work's estimate; (5, 1) is 175,616
-
-
-def check_work(lmu: int, lnu: int, force=False) -> int:
-    """Estimate the chamber polynomials' work; refuse it past WORK_GUARD.
-
-    Each chamber interpolates B = C(2n - 4, n - 3) unknowns for
-    n = lmu + lnu, the monomials of degree <= n - 3 in the n - 1 slice
-    coordinates, by about B^3 steps of elimination, and W walls cut at
-    least W + 1 chambers.  The estimate (W + 1) * B^3 must stay <=
-    WORK_GUARD unless force is set; it is returned.
-    """
-    lmu, lnu = int(lmu), int(lnu)
-    if lmu < 1 or lnu < 1:
-        raise ArgumentError("profile lengths must be at least 1")
-    n = lmu + lnu
-    num_walls = (2 ** (lmu - 1) - 1) * (2 ** lnu - 2)  # len(walls(lmu, lnu))
-    unknowns = math.comb(max(2 * n - 4, 0), max(n - 3, 0))
-    work = (num_walls + 1) * unknowns ** 3
-    if work > WORK_GUARD and not force:
-        raise SizeGuardError(
-            f"lmu {lmu}, lnu {lnu} is about {work} steps of work "
-            f"(at least {num_walls + 1} chambers, {unknowns}^3 for the "
-            f"{unknowns} unknowns of each), past the guard of {WORK_GUARD}; "
-            f"pass force=True to run anyway")
-    return work
-
 
 @dataclass(frozen=True)
 class LinearForm:

@@ -2,8 +2,8 @@
 
 One subcommand per computation family, plus shared flags: --json or
 --csv select the output format (default is terse text), --cache-dir
-enables an on-disk result cache, --force overrides size guards where
-the library supports it.
+enables an on-disk result cache.  Each command checks its size guard
+(guards.py) before any work starts; --force runs a job past it.
 
 Exit codes: 0 success, 1 stdout closed before the output was written,
 2 argument error, 3 size-guard refusal, 4 cross-check failure.
@@ -21,9 +21,8 @@ import sys
 import types
 from fractions import Fraction
 
-from . import __version__
-from .chambers import (chamber_decomposition, chamber_polynomial,
-                       check_work, walls)
+from . import __version__, guards
+from .chambers import chamber_decomposition, chamber_polynomial, walls
 from .elliptic_covers import FeynmanGraph, simple_hurwitz_routes
 from .errors import (ArgumentError, CrossCheckError, LoopContractionError,
                      SizeGuardError)
@@ -57,10 +56,10 @@ def _partition(text: str):
 
 def _run_double_hurwitz(args):
     mu, nu = _partition(args.mu), _partition(args.nu)
-    # the second route: the cover list when it is asked for, the S_d
-    # oracle otherwise, run first so that its guard refuses before the DP
-    oracle = None if args.list_covers else hurwitz_line(
-        args.genus, mu, nu, force=args.force)
+    # the second route: the cover list with --list-covers, else the oracle
+    guard = guards.line_covers if args.list_covers else guards.line_oracle
+    guard(args.genus, mu, nu, args.force)
+    oracle = None if args.list_covers else hurwitz_line(args.genus, mu, nu)
     total = double_hurwitz_tropical(args.genus, mu, nu)
     payload = {
         "genus": args.genus,
@@ -102,7 +101,7 @@ def _run_double_hurwitz(args):
 
 
 def _run_chambers(args):
-    check_work(args.lmu, args.lnu, force=args.force)
+    guards.chambers(args.lmu, args.lnu, args.force)
     forms = walls(args.lmu, args.lnu)
     chambers = chamber_decomposition(args.lmu, args.lnu)
     rows = []
@@ -127,7 +126,9 @@ def _run_chambers(args):
 
 def _run_elliptic(args):
     d, g = args.degree, args.genus
-    total, table = simple_hurwitz_routes(d, g, force=args.force)
+    guards.elliptic(d, g, args.force)
+    guards.elliptic_oracle(d, g, args.force)  # the second route
+    total, table = simple_hurwitz_routes(d, g)
     graphs = []
     for shape, aut, orders in table:
         rows = [{
@@ -159,12 +160,12 @@ def _run_feynman(args):
     except OSError as exc:
         raise ArgumentError(f"cannot read graph file: {exc}")
     shape = FeynmanGraph(parse_graph(text))
+    guards.feynman(shape.num_edges, args.dmax, args.force)
     order = _int_list(args.order)
     if sorted(order) != list(range(1, shape.graph.num_vertices + 1)):
         raise ArgumentError(
             "--order must list every vertex once, 1-based")
-    series = refined_integral(shape, tuple(v - 1 for v in order), args.dmax,
-                              force=args.force)
+    series = refined_integral(shape, tuple(v - 1 for v in order), args.dmax)
     return {
         "graph": serialize(shape.graph),
         "order": list(order),
@@ -192,6 +193,7 @@ def _run_mirror_check(args):
 
 def _run_graph_complex(args):
     g = args.genus
+    guards.graph_complex(g, args.force)
     if g < 2:
         raise ArgumentError("genus must be at least 2")
     if args.dump_matrix and args.edges is None:
@@ -221,7 +223,8 @@ def _run_graph_complex(args):
 
 
 def _run_moduli(args):
-    types = enumerate_types(args.genus, args.marks, force=args.force)
+    guards.moduli(args.genus, args.marks, args.force)
+    types = enumerate_types(args.genus, args.marks)
     top = max(t.dimension for t in types)
     expected = 3 * args.genus - 3 + args.marks
     if top != expected:
@@ -248,10 +251,12 @@ def _run_moduli(args):
 def _run_oracle(args):
     if args.problem == "line":
         mu, nu = _partition(args.mu), _partition(args.nu)
-        value = hurwitz_line(args.genus, mu, nu, force=args.force)
+        guards.line_oracle(args.genus, mu, nu, args.force)
+        value = hurwitz_line(args.genus, mu, nu)
         return {"problem": "line", "genus": args.genus,
                 "mu": list(mu), "nu": list(nu), "value": frac_str(value)}
-    value = hurwitz_elliptic(args.degree, args.genus, force=args.force)
+    guards.elliptic_oracle(args.degree, args.genus, args.force)
+    value = hurwitz_elliptic(args.degree, args.genus)
     return {"problem": "elliptic", "degree": args.degree,
             "genus": args.genus, "value": frac_str(value)}
 
@@ -432,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", metavar="PATH",
                         help="cache computed results under PATH")
     common.add_argument("--force", action="store_true",
-                        help="override size guards where supported")
+                        help="run a job past its size guard")
 
     parser = argparse.ArgumentParser(
         prog="tropica",

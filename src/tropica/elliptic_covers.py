@@ -32,28 +32,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError, CrossCheckError, SizeGuardError
+from .errors import ArgumentError, CrossCheckError
 from .graphs import (Multigraph, automorphism_group_order, enumerate_graphs,
                      local_rh_defect)
 from .sym_oracle import hurwitz_elliptic
 from .util import slot_of
 
-DEGREE_GUARD = 5
-GENUS_GUARD = 3
 
-
-def _checked_size(degree, genus, force):
-    """(d, g) as ints once they are valid and within the guard."""
+def _checked_size(degree, genus):
+    """(d, g) as ints once they are valid."""
     d, g = int(degree), int(genus)
     if d < 1:
         raise ArgumentError("degree must be positive")
     if g < 2:
         raise ArgumentError("genus must be at least 2")
-    if (d > DEGREE_GUARD or g > GENUS_GUARD) and not force:
-        raise SizeGuardError(
-            f"degree {d}, genus {g} exceeds the guard "
-            f"(degree <= {DEGREE_GUARD}, genus <= {GENUS_GUARD}); "
-            "pass force=True to run anyway")
     return d, g
 
 
@@ -282,14 +274,14 @@ class EllipticCover:
             raise ArgumentError("cover source has wrong first Betti number")
 
 
-def enumerate_elliptic_covers(degree, genus, force=False):
+def enumerate_elliptic_covers(degree, genus):
     """All isomorphism classes of degree-d genus-g covers of the circle.
 
     Produced by sweeping shapes, vertex orders, and edge data, then
     deduplicating on the decorated position graph; a relabeling of the
     source induces exactly this identification.
     """
-    d, g = _checked_size(degree, genus, force)
+    d, g = _checked_size(degree, genus)
     found = {}
     for shape in enumerate_feynman_graphs(g):
         edges = shape.graph.edges
@@ -303,7 +295,7 @@ def enumerate_elliptic_covers(degree, genus, force=False):
     return sorted(found.values(), key=lambda c: c.edges)
 
 
-def labeled_table(degree, genus, force=False):
+def labeled_table(degree, genus):
     """N_{a,Omega} for every shape, vertex order and multidegree.
 
     One row (shape, |Aut|, orders) per shape; orders holds (order,
@@ -313,7 +305,7 @@ def labeled_table(degree, genus, force=False):
     results are bucketed by their multidegree (t*w per edge), so no
     search runs for a multidegree that admits no cover.
     """
-    d, g = _checked_size(degree, genus, force)
+    d, g = _checked_size(degree, genus)
     rows = []
     for shape in enumerate_feynman_graphs(g):
         edges = shape.graph.edges
@@ -333,22 +325,22 @@ def _labeled_total(orders):
     return sum(count for _, counts in orders for _, count in counts)
 
 
-def labeled_aggregate(degree, genus, force=False):
+def labeled_aggregate(degree, genus):
     """Per-shape labeled totals: [(shape, |Aut|, sum over orders and a)]."""
     return [(shape, aut, _labeled_total(orders))
-            for shape, aut, orders in labeled_table(degree, genus, force)]
+            for shape, aut, orders in labeled_table(degree, genus)]
 
 
-def simple_hurwitz_routes(degree, genus, force=False):
+def simple_hurwitz_routes(degree, genus):
     """N_{d,g} and the labeled_table it was computed from.
 
     The labeled route sums each shape's labeled total over |Aut|; the
     content sums of hurwitz_elliptic must give the same number.
     """
-    table = labeled_table(degree, genus, force)
+    table = labeled_table(degree, genus)
     labeled = sum((Fraction(_labeled_total(orders), aut)
                    for _, aut, orders in table), Fraction(0))
-    oracle = hurwitz_elliptic(degree, genus, force=True)
+    oracle = hurwitz_elliptic(degree, genus)
     if labeled != oracle:
         raise CrossCheckError(
             f"labeled aggregation gives {labeled} but the S_d monodromy "
@@ -356,18 +348,18 @@ def simple_hurwitz_routes(degree, genus, force=False):
     return labeled, table
 
 
-def simple_hurwitz_tropical(degree, genus, force=False) -> Fraction:
+def simple_hurwitz_tropical(degree, genus) -> Fraction:
     """N_{d,g}, cross-checked by simple_hurwitz_routes."""
-    return simple_hurwitz_routes(degree, genus, force)[0]
+    return simple_hurwitz_routes(degree, genus)[0]
 
 
-def loop_graphs_admit_no_cover(degree, genus, force=False) -> bool:
+def loop_graphs_admit_no_cover(degree, genus) -> bool:
     """Check that every 3-valent shape with a loop admits no cover.
 
     Balancing at a loop's vertex forces the third flag to weight 0, so
     the expected answer is always True; the search is still performed.
     """
-    d, g = _checked_size(degree, genus, force)
+    d, g = _checked_size(degree, genus)
     loop_shapes = [m for m in trivalent_classes(g, allow_loops=True)
                    if any(u == v for u, v in m.edges)]
     for shape in loop_shapes:

@@ -19,10 +19,7 @@ class DegenerateInputError(ArgumentError):
 
 
 class SizeGuardError(TropicaError):
-    """Refused because the requested size would take unreasonably long.
-
-    Callers that accept the cost can pass force=True where offered.
-    """
+    """A size guard refused the job; the CLI's --force runs it anyway."""
 
 
 class CrossCheckError(TropicaError):

@@ -18,19 +18,15 @@ reappear as series coefficients.
 
 import bisect
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic_covers import (FeynmanGraph, enumerate_feynman_graphs,
                               simple_hurwitz_tropical)
-from .errors import ArgumentError, SizeGuardError
+from .errors import ArgumentError
 from .graphs import automorphism_group_order
 from .util import slot_of
-
-WORK_GUARD = 200_000  # refined_integral's estimate; genus 3, dmax 10: 168,168
-
 
 def sigma(n) -> int:
     """Sum of the divisors of n."""
@@ -295,21 +291,12 @@ def _integral(shape: FeynmanGraph, order, d, coarse) -> TruncatedSeries:
     return acc.x_constant_part()
 
 
-def refined_integral(shape: FeynmanGraph, order, d,
-                     force=False) -> TruncatedSeries:
+def refined_integral(shape: FeynmanGraph, order, d) -> TruncatedSeries:
     """x-constant part of the edge product, with one q_k per edge.
 
     The coefficient of prod q_k^{2 a_k}, a nonnegative integer, is the
-    weighted count of labeled covers of multidegree a.  Unless force is
-    set, the work estimate C(d + E, E) * (2d + 1) for E edges (each
-    multidegree times the exponents of one x) must stay <= WORK_GUARD.
+    weighted count of labeled covers of multidegree a.
     """
-    num_edges = shape.num_edges
-    work = math.comb(max(d, 0) + num_edges, num_edges) * (2 * d + 1)
-    if work > WORK_GUARD and not force:
-        raise SizeGuardError(
-            f"dmax {d} on {num_edges} edges is about {work} terms of work, "
-            f"past the guard of {WORK_GUARD}; pass force=True to run anyway")
     return _integral(shape, order, d, coarse=False)
 
 
@@ -356,7 +343,7 @@ def mirror_check(genus, d_max):
         total = total + per_shape.scale(Fraction(1, aut))
     rows = []
     for d in range(1, dm + 1):
-        tropical = simple_hurwitz_tropical(d, g, force=True)
+        tropical = simple_hurwitz_tropical(d, g)
         series = total.coefficient(q_exps=(2 * d,))
         rows.append(MirrorRow(degree=d, q_power=2 * d, tropical=tropical,
                               series=series, match=tropical == series))

@@ -15,13 +15,10 @@ matrices over the rationals.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError, SizeGuardError
+from .errors import ArgumentError
 from .graphs import (Multigraph, automorphisms, canonical_form, contract_edge,
                      enumerate_graphs, parse_graph, serialize)
 from .util import cycle_type, partitions_of
-
-GENUS_GUARD = 4
-
 
 def _perm_sign(perm) -> int:
     """+1 or -1: a permutation's parity is that of n minus its cycle count."""
@@ -248,11 +245,6 @@ def _rank(entries, num_rows, num_cols) -> int:
 def homology_dimension(genus, num_edges) -> int:
     """dim ker of the boundary at n minus the rank arriving from n + 1."""
     g, n = int(genus), int(num_edges)
-    if g < 2:
-        raise ArgumentError("genus must be at least 2")
-    if g > GENUS_GUARD:
-        raise SizeGuardError(
-            f"genus {g} exceeds the guard (genus <= {GENUS_GUARD})")
     dim_n = len(basis(g, n))
     if dim_n == 0:
         return 0

@@ -1,0 +1,122 @@
+"""Size guards: one work estimate per engine that can run without bound.
+
+Each CLI command calls its guard before any engine runs; past its limit
+a guard raises SizeGuardError unless forced (--force).  Each estimate is
+a closed form that accepts any ints, in its own unit with its own limit.
+"""
+
+import math
+from collections import Counter
+
+from .errors import SizeGuardError
+from .line_covers import _moves
+
+LIMITS = {
+    "line_oracle": 4_000_000,  # steps; (0, (19,), (19,)) is 3,601,011
+    "line_covers": 50_000,  # weight paths; (1, (6,5,4), (5,5,5)) is 5,143
+    "elliptic": 50_000,  # steps; (7, 3) is 41,184 and runs in about 1.8 s
+    "elliptic_oracle": 500_000,  # steps; (34, 2) is 423,164
+    "chambers": 200_000,  # steps; (5, 1) is 175,616
+    "feynman": 200_000,  # terms; dmax 10 on 6 edges is 168,168
+    "moduli": 10_395,  # types; every (g, n) with six vertices
+    "graph_complex": 34_459_425,  # pairings; genus 4
+}
+CAP = 100  # an argument past it counts as CAP, far past every limit
+
+
+def _check(name, work, job, unit, force, detail=""):
+    if work > LIMITS[name] and not force:
+        about = work if work < 2 ** 64 else f"2^{work.bit_length() - 1}"
+        raise SizeGuardError(
+            f"{job} is about {about} {unit} of work{detail}, past the guard "
+            f"of {LIMITS[name]}; pass --force to run anyway")
+    return work
+
+
+def _class_counts(d):
+    """p(k) for k <= min(d, 200); p(200) is past every guard already."""
+    counts = [1] + [0] * min(max(d, 0), 200)
+    for part in range(1, len(counts)):
+        for n in range(part, len(counts)):
+            counts[n] += counts[n - part]
+    return counts
+
+
+def _sub_multiset_counts(parts):
+    """The distinct sub-multisets of parts, counted by their sum."""
+    counts = Counter({0: 1})
+    for part, m in Counter(parts).items():
+        counts = sum((Counter({total + j * part: count
+                               for total, count in counts.items()})
+                      for j in range(m + 1)), Counter())
+    return counts
+
+
+def line_oracle(genus, mu, nu, force=False):
+    """p(d) d^3, plus (s + 1) p(k)^2 per sub-multiset pair of one sum k."""
+    d, s = sum(mu), 2 * genus - 2 + len(mu) + len(nu)
+    p = _class_counts(d)
+    a, b = _sub_multiset_counts(mu), _sub_multiset_counts(nu)
+    blocks = sum(a[k] * b[k] * p[min(k, len(p) - 1)] ** 2 for k in a)
+    return _check("line_oracle", p[-1] * d ** 3 + (s + 1) * blocks,
+                  f"degree {d} with {s} transpositions", "steps", force)
+
+
+def line_covers(genus, mu, nu, force=False):
+    """The weight paths from mu to nu through the cover sweep's moves."""
+    s = 2 * genus - 2 + len(mu) + len(nu)
+    paths = Counter({tuple(sorted(mu)): 1})
+    for table in reversed(_moves(nu, s)):
+        reached = Counter()
+        for weights, count in paths.items():
+            for _, _, after in table.get(weights, ()):
+                reached[after] += count
+        paths = reached
+    return _check("line_covers", sum(paths.values()), f"listing {s}-level "
+                  f"covers of degree {sum(mu)}", "weight paths", force)
+
+
+def elliptic(degree, genus, force=False):
+    """(2g - 2)! vertex orders times C(d + 3g - 3, 3g - 3) compositions."""
+    d, e = min(degree, CAP), max(3 * min(genus, CAP) - 3, 0)  # e edges
+    work = math.factorial(2 * e // 3) * math.comb(max(d + e, 0), e)
+    return _check("elliptic", work, f"degree {degree}, genus {genus}",
+                  "steps", force)
+
+
+def elliptic_oracle(degree, genus, force=False):
+    """p(d) * d for the content sums, (d * s)^2 for the rest, s = 2g - 2."""
+    d, s = max(degree, 0), max(2 * genus - 2, 0)
+    return _check("elliptic_oracle", _class_counts(d)[-1] * d + (d * s) ** 2,
+                  f"degree {degree}, genus {genus}", "steps", force)
+
+
+def chambers(lmu, lnu, force=False):
+    """W + 1 chambers times B^3, B = C(2n - 4, n - 3), for W walls."""
+    a, b = min(lmu, CAP), min(lnu, CAP)
+    num_walls = (2 ** max(a - 1, 0) - 1) * (2 ** max(b, 0) - 2)
+    unknowns = math.comb(max(2 * (a + b) - 4, 0), max(a + b - 3, 0))
+    return _check("chambers", (num_walls + 1) * unknowns ** 3,
+                  f"lmu {lmu}, lnu {lnu}", "steps", force,
+                  f" (at least {num_walls + 1} chambers, {unknowns}^3 for "
+                  f"the {unknowns} unknowns of each)")
+
+
+def feynman(num_edges, dmax, force=False):
+    """C(d + E, E) multidegrees of E edges, times 2d + 1 exponents of x."""
+    work = math.comb(max(dmax, 0) + num_edges, num_edges) * (2 * dmax + 1)
+    return _check("feynman", work, f"dmax {dmax} on {num_edges} edges",
+                  "terms", force)
+
+
+def moduli(genus, marks, force=False):
+    """(2V - 1)!!, the maximal types at genus 0 with V = 2g - 2 + n."""
+    v = 2 * genus - 2 + marks
+    return _check("moduli", math.prod(range(1, 2 * min(v, CAP), 2)),
+                  f"genus {genus} with {marks} marks", "types", force)
+
+
+def graph_complex(genus, force=False):
+    """(6g - 7)!!, the pairings of a trivalent genus-g graph's half-edges."""
+    work = math.prod(range(1, 6 * min(genus, CAP) - 6, 2))
+    return _check("graph_complex", work, f"genus {genus}", "pairings", force)

@@ -9,18 +9,14 @@ the cone complex.  Contracting a loop removes it and raises the genus
 of its vertex, so the total genus is constant along the poset.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ArgumentError, CrossCheckError, SizeGuardError
+from .errors import ArgumentError, CrossCheckError
 from .graphs import (Multigraph, automorphisms, canonical_form,
                      contract_edge, contract_loop, enumerate_graphs,
                      serialize)
 from .util import compositions_of, partitions_of
-
-WORK_GUARD = 10_395  # enumerate_types' estimate at 6 vertices: (0, 8)..(4, 0)
-
 
 def vertex_stable(genus: int, valence: int) -> bool:
     return 2 * genus - 2 + valence > 0
@@ -55,26 +51,16 @@ class ConePoset:
     folded: tuple
 
 
-def enumerate_types(genus, num_legs, force=False):
+def enumerate_types(genus, num_legs):
     """All stable combinatorial types for (g, n), one per iso class.
 
-    Sorted by dimension, then canonical key.  A maximal type has
-    V = 2g - 2 + n trivalent vertices, and the work grows with V about
-    as fast as (2V - 1)!!, the number of maximal types at genus 0 with V
-    vertices.  Unless force is set, that estimate must stay <= WORK_GUARD.
+    Sorted by dimension, then canonical key.
     """
     g, n = int(genus), int(num_legs)
     if g < 0 or n < 0:
         raise ArgumentError("genus and leg count must be nonnegative")
-    vertices = 2 * g - 2 + n
-    if vertices <= 0:
+    if 2 * g - 2 + n <= 0:
         raise ArgumentError(f"({g}, {n}) is unstable")
-    work = math.prod(range(1, 2 * vertices, 2))
-    if work > WORK_GUARD and not force:
-        raise SizeGuardError(
-            f"genus {g} with {n} marks is about {work} types of work "
-            f"({2 * vertices - 1}!! for {vertices} vertices), past the "
-            f"guard of {WORK_GUARD}; pass force=True to run anyway")
     found = []
     for num_edges in range(3 * g - 3 + n + 1):
         for num_vertices in range(max(1, num_edges + 1 - g),

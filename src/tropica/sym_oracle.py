@@ -18,8 +18,7 @@ Frobenius's formula there are d! * sum_{lambda |- d} f2(lambda)^(2g-2)
 such tuples, f2 being the content sum, so no permutation is built.
 
 Transitivity is extracted afterwards by an inclusion-exclusion over the
-orbit of a marked point.  Each oracle refuses, unless forced, a job
-whose estimated work exceeds its guard, and states the estimate.
+orbit of a marked point.
 """
 
 import math
@@ -27,12 +26,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ArgumentError, SizeGuardError
+from .errors import ArgumentError
 from .graphs import Partition
 from .util import cycle_type, partitions_of
-
-LINE_WORK_GUARD = 4_000_000  # _line_work; (0, (19,), (19,)) is 3,841,110
-ELLIPTIC_WORK_GUARD = 500_000  # hurwitz_elliptic's estimate; (34, 2): 423,164
 
 
 def _class_rep(parts):
@@ -55,26 +51,6 @@ def _class_size(parts) -> int:
 def _all_types(d):
     """All cycle types of S_d, sorted."""
     return tuple(sorted(partitions_of(d)))
-
-
-def _class_count(d) -> int:
-    """p(d), the number of cycle types of S_d; p(200) past degree 200,
-    where it already puts every work estimate far past its guard."""
-    counts = [1] + [0] * min(d, 200)
-    for part in range(1, len(counts)):
-        for n in range(part, len(counts)):
-            counts[n] += counts[n - part]
-    return counts[-1]
-
-
-def _sub_multiset_counts(parts):
-    """The distinct sub-multisets of parts, counted by their sum."""
-    counts = Counter({0: 1})
-    for part, m in Counter(parts).items():
-        counts = sum((Counter({total + j * part: count
-                               for total, count in counts.items()})
-                      for j in range(m + 1)), Counter())
-    return counts
 
 
 @lru_cache(maxsize=None)
@@ -180,25 +156,11 @@ def _line_transitive(d, mu, nu, s) -> int:
     return total
 
 
-def _line_work(mu, nu, s) -> int:
-    """About how many steps _line_transitive takes: p(d) * d^3 for the
-    transfer matrix, and s + 1 walk steps of p(d)^2 for each block of the
-    inclusion-exclusion, a pair of sub-multisets of mu and nu with equal
-    sums."""
-    p = _class_count(sum(mu))
-    nu_counts = _sub_multiset_counts(nu)
-    pairs = sum(count * nu_counts[total]
-                for total, count in _sub_multiset_counts(mu).items())
-    return p * sum(mu) ** 3 + pairs * (s + 1) * p * p
-
-
-def hurwitz_line(genus, mu, nu, force=False) -> Fraction:
+def hurwitz_line(genus, mu, nu) -> Fraction:
     """Double Hurwitz number of the line via symmetric group counts.
 
     genus is the genus of the covering curve; mu and nu are the
-    ramification profiles over the two special points.  A job whose
-    _line_work estimate exceeds LINE_WORK_GUARD is refused unless
-    force=True.
+    ramification profiles over the two special points.
     """
     g = int(genus)
     if g < 0:
@@ -211,12 +173,6 @@ def hurwitz_line(genus, mu, nu, force=False) -> Fraction:
     s = 2 * g - 2 + mu.length + nu.length
     if s < 0:
         raise ArgumentError("no transposition count fits this genus")
-    work = _line_work(mu.parts, nu.parts, s)
-    if work > LINE_WORK_GUARD and not force:
-        raise SizeGuardError(
-            f"degree {d} with {s} transpositions is about {work} steps of "
-            f"work, past the guard of {LINE_WORK_GUARD}; pass force=True "
-            "to run anyway")
     count = _line_transitive(d, mu.parts, nu.parts, s)
     return Fraction(count, math.factorial(d))
 
@@ -253,25 +209,16 @@ def _elliptic_transitive(d, s) -> int:
     return total
 
 
-def hurwitz_elliptic(degree, genus, force=False) -> Fraction:
+def hurwitz_elliptic(degree, genus) -> Fraction:
     """Simple Hurwitz number of an elliptic curve via monodromy counts.
 
     Covers of degree `degree` by genus-`genus` curves with s = 2g - 2
-    simple branch points.  The content sums of the partitions of each
-    degree up to d cost about p(d) * d steps, and the inclusion-exclusion
-    about (d * s)^2; a job whose estimate exceeds ELLIPTIC_WORK_GUARD is
-    refused unless force=True.
+    simple branch points.
     """
     d, g = int(degree), int(genus)
     if d < 1:
         raise ArgumentError("degree must be positive")
     if g < 1:
         raise ArgumentError("genus must be at least 1")
-    s = 2 * g - 2
-    work = _class_count(d) * d + (d * s) ** 2
-    if work > ELLIPTIC_WORK_GUARD and not force:
-        raise SizeGuardError(
-            f"degree {d}, genus {g} is about {work} steps of work, past the "
-            f"guard of {ELLIPTIC_WORK_GUARD}; pass force=True to run anyway")
-    count = _elliptic_transitive(d, s)
+    count = _elliptic_transitive(d, 2 * g - 2)
     return Fraction(count, math.factorial(d))

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from tropica import (chambers, cli, elliptic_covers, feynman_series,
-                     line_covers, moduli_space, sym_oracle)
+from tropica import (cli, elliptic_covers, line_covers, moduli_space,
+                     sym_oracle)
 from tropica.cli import main
 from tropica.errors import LoopContractionError
 from tropica.feynman_series import MirrorRow
@@ -85,7 +85,7 @@ def test_double_hurwitz_enumerates_only_when_listing(capsys, monkeypatch):
 
 def test_double_hurwitz_oracle_mismatch_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(cli, "hurwitz_line",
-                        lambda genus, mu, nu, force=False: Fraction(-1))
+                        lambda genus, mu, nu: Fraction(-1))
     code, out, err = run(capsys, "double-hurwitz", "--genus", "1",
                          "--mu", "3", "--nu", "3")
     assert code == 4
@@ -127,7 +127,7 @@ def test_double_hurwitz_past_degree_six_checks_the_oracle(
     code, _, err = run(capsys, "double-hurwitz", "--genus", "3",
                        "--mu", "10,10", "--nu", "4,4,4,4,4")
     assert code == 3
-    assert "about 14451096 steps of work" in err
+    assert "about 9733560 steps of work" in err
 
 
 @pytest.mark.parametrize("genus, mu, nu", [
@@ -205,7 +205,7 @@ def test_elliptic_runs_one_labeled_sweep(capsys, monkeypatch):
 
 def test_elliptic_oracle_mismatch_exits_4(capsys, monkeypatch):
     monkeypatch.setattr("tropica.elliptic_covers.hurwitz_elliptic",
-                        lambda degree, genus, force=False: Fraction(17))
+                        lambda degree, genus: Fraction(17))
     code, out, err = run(capsys, "elliptic", "--degree", "3", "--genus", "2")
     assert (code, out) == (4, "")
     assert "S_d monodromy count gives 17" in err
@@ -214,7 +214,7 @@ def test_elliptic_oracle_mismatch_exits_4(capsys, monkeypatch):
 def test_elliptic_labeled_table_mismatch_exits_4(capsys, monkeypatch):
     table = elliptic_covers.labeled_table
     monkeypatch.setattr(elliptic_covers, "labeled_table",
-                        lambda d, g, force=False: table(d, g, force)[1:])
+                        lambda d, g: table(d, g)[1:])
     code, out, err = run(capsys, "elliptic", "--degree", "3", "--genus", "3")
     assert (code, out) == (4, "")
     assert "labeled aggregation gives" in err
@@ -278,51 +278,6 @@ def test_feynman_errors(tmp_path, capsys):
     bad.write_text("V 2 E 1 L 0\ne 0 1\n", encoding="utf-8")
     assert run(capsys, "feynman", "--graph", str(bad),
                "--order", "1,2", "--dmax", "2")[0] == 2
-
-
-def test_feynman_size_guard_and_force(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "shape.txt"
-    shape = elliptic_covers.enumerate_feynman_graphs(3)[0]
-    path.write_text(serialize(shape.graph), encoding="utf-8")
-    argv = ("feynman", "--graph", str(path), "--order", "1,2,3,4")
-    # C(17, 6) multidegrees times 23 exponents: just past the guard
-    code, out, err = run(capsys, *argv, "--dmax", "11")
-    assert (code, out) == (3, "")
-    assert "size guard: dmax 11 on 6 edges is about 284648 terms" in err
-    assert run(capsys, *argv, "--dmax", "6")[0] == 0
-    # past a lowered guard, --force runs the job and changes nothing
-    expected = run(capsys, *argv, "--dmax", "2", "--json")
-    monkeypatch.setattr(feynman_series, "WORK_GUARD", 10)
-    assert run(capsys, *argv, "--dmax", "2", "--json")[:2] == (3, "")
-    assert run(capsys, *argv, "--dmax", "2", "--json", "--force") == expected
-
-
-def test_moduli_size_guard_and_force(capsys, monkeypatch):
-    code, out, err = run(capsys, "moduli", "--genus", "0", "--marks", "9")
-    assert (code, out) == (3, "")
-    assert ("size guard: genus 0 with 9 marks is about 135135 types of work"
-            in err)
-    # past a lowered guard, --force runs the job and changes nothing
-    argv = ("moduli", "--genus", "1", "--marks", "2", "--poset", "--json")
-    expected = run(capsys, *argv)
-    monkeypatch.setattr(moduli_space, "WORK_GUARD", 1)
-    assert run(capsys, *argv)[:2] == (3, "")
-    assert run(capsys, *argv, "--force") == expected
-
-
-def test_chambers_size_guard_and_force(capsys, monkeypatch):
-    code, out, err = run(capsys, "chambers", "--lmu", "3", "--lnu", "3")
-    assert (code, out) == (3, "")
-    assert ("size guard: lmu 3, lnu 3 is about 3336704 steps of work "
-            "(at least 19 chambers, 56^3 for the 56 unknowns of each)"
-            in err)
-    # past a lowered guard, --force runs the job and changes nothing
-    argv = ("chambers", "--lmu", "2", "--lnu", "2", "--json")
-    expected = run(capsys, *argv)
-    assert expected[0] == 0
-    monkeypatch.setattr(chambers, "WORK_GUARD", 10)
-    assert run(capsys, *argv)[:2] == (3, "")
-    assert run(capsys, *argv, "--force") == expected
 
 
 def test_mirror_check_matches(capsys):
@@ -642,39 +597,49 @@ def test_argument_errors_exit_2(capsys):
     (("moduli", "--genus", "0", "--marks", "4",
       "--cache-dir", "{tmp}/plain/sub"), 2),
     (("double-hurwitz", "--genus", "0", "--mu", "20", "--nu", "19,1"), 3),
+    (("double-hurwitz", "--genus", "2", "--mu", "6,5,4", "--nu", "5,5,5",
+      "--list-covers"), 3),
     (("chambers", "--lmu", "3", "--lnu", "3"), 3),
-    (("elliptic", "--degree", "6", "--genus", "2"), 3),
+    (("elliptic", "--degree", "5", "--genus", "4"), 3),
     (("feynman", "--graph", "{tmp}/shape.txt", "--order", "1,2,3,4",
       "--dmax", "11"), 3),
     (("mirror-check", "--genus", "2", "--dmax", "7"), 2),
     (("graph-complex", "--genus", "5"), 3),
+    (("graph-complex", "--genus", "5", "--edges", "12"), 3),
     (("moduli", "--genus", "0", "--marks", "9"), 3),
     (("oracle", "line", "--genus", "0", "--mu", "20", "--nu", "20"), 3),
     (("oracle", "elliptic", "--degree", "35", "--genus", "2"), 3),
 ], ids=["missing-graph", "dump-matrix-dir", "cache-dir-under-file",
-        "double-hurwitz", "chambers", "elliptic", "feynman", "mirror-check",
-        "graph-complex", "moduli", "oracle-line", "oracle-elliptic"])
-def test_bad_input_is_refused_without_traceback(tmp_path, capsys, argv,
-                                                expected):
+        "double-hurwitz", "list-covers", "chambers", "elliptic", "feynman",
+        "mirror-check", "graph-complex", "graph-complex-edges", "moduli",
+        "oracle-line", "oracle-elliptic"])
+def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
+    # in a subprocess with a timeout, so that a missing guard fails the
+    # case instead of hanging the suite
     (tmp_path / "plain").write_text("", encoding="utf-8")
     shape = elliptic_covers.enumerate_feynman_graphs(3)[0]
     (tmp_path / "shape.txt").write_text(serialize(shape.graph),
                                         encoding="utf-8")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (expected, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tropica.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (expected, "")
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    if expected == 3:
+        assert proc.stderr.startswith("error: size guard: ")
+        assert proc.stderr.endswith("; pass --force to run anyway\n")
 
 
 def test_size_guard_and_force(capsys):
-    code, _, err = run(capsys, "elliptic", "--degree", "6", "--genus", "2")
+    code, _, err = run(capsys, "elliptic", "--degree", "5", "--genus", "4")
     assert code == 3
-    assert "size guard" in err
-    code, out, _ = run(capsys, "elliptic", "--degree", "6", "--genus", "2",
-                       "--force")
-    assert code == 0
-    assert out == "360\n"
+    assert "size guard: degree 5, genus 4 is about 1441440 steps" in err
+    # (6, 2), past the former fixed limit of degree 5, is admitted
+    assert run(capsys, "elliptic", "--degree", "6", "--genus", "2") == (
+        0, "360\n", "")
     assert run(capsys, "oracle", "elliptic", "--degree", "35",
                "--genus", "2")[0] == 3
 

@@ -15,6 +15,7 @@ from tropica.elliptic_covers import (FeynmanGraph, _assignments,
                                      loop_graphs_admit_no_cover,
                                      simple_hurwitz_tropical,
                                      trivalent_classes)
+from tropica import guards
 from tropica.errors import ArgumentError, SizeGuardError
 from tropica.graphs import Multigraph, automorphism_group_order
 from tropica.sym_oracle import hurwitz_elliptic
@@ -76,11 +77,12 @@ def test_degree_five_totals():
 
 
 def test_forced_degree_six():
-    with pytest.raises(SizeGuardError):
-        simple_hurwitz_tropical(6, 2)
-    with pytest.raises(SizeGuardError):
-        enumerate_elliptic_covers(2, 4)
-    assert simple_hurwitz_tropical(6, 2, force=True) == 360
+    # the guard sits in the CLI, and admits (6, 2): 2 vertex orders times
+    # C(9, 3) compositions; (5, 4) is its refused example
+    assert guards.elliptic(6, 2) == 168
+    with pytest.raises(SizeGuardError, match="about 1441440 steps"):
+        guards.elliptic(5, 4)
+    assert simple_hurwitz_tropical(6, 2) == 360
 
 
 def test_labeled_caterpillar_instance():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropica.errors import ArgumentError, SizeGuardError
+from tropica.errors import ArgumentError
 from tropica.graph_complex import (GraphChain, OrderedGraphGenerator, basis,
                                    differential, differential_matrix,
                                    homology_dimension, normalize, wheel_class,
@@ -189,8 +189,6 @@ def test_homology_dimensions():
     assert homology_dimension(4, 8) == 0
     with pytest.raises(ArgumentError):
         homology_dimension(1, 3)
-    with pytest.raises(SizeGuardError):
-        homology_dimension(5, 10)
 
 
 def test_wheel_three_nonzero_in_homology():

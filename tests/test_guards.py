@@ -1,0 +1,101 @@
+"""The size guards: each estimate at its limit, and --force past it."""
+
+import json
+
+import pytest
+
+from tropica import guards
+from tropica.cli import main
+from tropica.errors import SizeGuardError
+
+THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
+
+
+@pytest.mark.parametrize("guard, admitted, admitted_work, refused, message", [
+    (guards.line_oracle, (0, (19,), (19,)), 3601011, (0, (20,), (20,)),
+     "degree 20 with 0 transpositions is about 5409130 steps of work,"),
+    (guards.line_oracle, (0, (3, 2, 1, 3, 2, 1), (2, 2, 1, 1, 2, 2, 1, 1)),
+     485213, (0, (20,), (19, 1)),
+     "degree 20 with 1 transpositions is about 5802260 steps of work,"),
+    (guards.line_covers, (1, (6, 5, 4), (5, 5, 5)), 5143,
+     (2, (6, 5, 4), (5, 5, 5)),
+     "listing 8-level covers of degree 15 is about 399063 weight paths"),
+    (guards.line_covers, (1, (3, 2, 1), (2, 2, 1, 1)), 1955,
+     (2, (6, 5, 4), (5, 5, 5)),
+     "listing 8-level covers of degree 15 is about 399063 weight paths"),
+    (guards.elliptic, (7, 3), 41184, (8, 3),
+     "degree 8, genus 3 is about 72072 steps of work,"),
+    (guards.elliptic, (2, 4), 39600, (3, 4),
+     "degree 3, genus 4 is about 158400 steps of work,"),
+    (guards.elliptic, (51, 2), 49608, (52, 2),
+     "degree 52, genus 2 is about 52470 steps of work,"),
+    (guards.elliptic, (5, 3), 11088, (5, 4),
+     "degree 5, genus 4 is about 1441440 steps of work,"),
+    (guards.elliptic_oracle, (34, 2), 423164, (35, 2),
+     "degree 35, genus 2 is about 525805 steps of work,"),
+    (guards.chambers, (5, 1), 175616, (3, 3),
+     "lmu 3, lnu 3 is about 3336704 steps of work (at least 19 chambers, "
+     "56^3 for the 56 unknowns of each),"),
+    (guards.feynman, (6, 10), 168168, (6, 11),
+     "dmax 11 on 6 edges is about 284648 terms of work,"),
+    (guards.moduli, (0, 8), 10395, (0, 9),
+     "genus 0 with 9 marks is about 135135 types of work,"),
+    (guards.moduli, (4, 0), 10395, (4, 1),
+     "genus 4 with 1 marks is about 135135 types of work,"),
+    (guards.graph_complex, (4,), 34459425, (5,),
+     "genus 5 is about 316234143225 pairings of work,"),
+], ids=["line-oracle", "line-oracle-multi-part", "line-covers",
+        "line-covers-bench", "elliptic-genus-3", "elliptic-genus-4",
+        "elliptic-genus-2", "elliptic-former-limit", "elliptic-oracle",
+        "chambers", "feynman", "moduli-genus-0", "moduli-genus-4",
+        "graph-complex"])
+def test_estimate_at_the_limit(guard, admitted, admitted_work, refused,
+                               message):
+    assert guard(*admitted) == admitted_work
+    with pytest.raises(SizeGuardError) as exc:
+        guard(*refused)
+    text = str(exc.value)
+    assert text.startswith(message)
+    assert text.endswith("; pass --force to run anyway")
+    work = int(text.split(" is about ")[1].split()[0])
+    assert guard(*refused, force=True) == work
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("line_oracle", ("double-hurwitz", "--genus", "1", "--mu", "3",
+                     "--nu", "3")),
+    ("line_covers", ("double-hurwitz", "--genus", "1", "--mu", "3",
+                     "--nu", "3", "--list-covers")),
+    ("chambers", ("chambers", "--lmu", "2", "--lnu", "2")),
+    ("elliptic", ("elliptic", "--degree", "3", "--genus", "2")),
+    ("elliptic_oracle", ("elliptic", "--degree", "3", "--genus", "2")),
+    ("feynman", ("feynman", "--graph", "theta.txt", "--order", "1,2",
+                 "--dmax", "2")),
+    ("graph_complex", ("graph-complex", "--genus", "3")),
+    ("moduli", ("moduli", "--genus", "1", "--marks", "2", "--poset")),
+    ("line_oracle", ("oracle", "line", "--genus", "0", "--mu", "2,1",
+                     "--nu", "1,1,1")),
+    ("elliptic_oracle", ("oracle", "elliptic", "--degree", "3",
+                         "--genus", "2")),
+], ids=["double-hurwitz", "list-covers", "chambers", "elliptic",
+        "elliptic-content-sums", "feynman", "graph-complex", "moduli",
+        "oracle-line", "oracle-elliptic"])
+def test_force_runs_past_a_lowered_limit(tmp_path, capsys, monkeypatch,
+                                         name, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "theta.txt").write_text(THETA_TEXT, encoding="utf-8")
+    expected = run(capsys, *argv, "--json")
+    assert expected[0] == 0
+    assert json.loads(expected[1])["command"] == argv[0]
+    monkeypatch.setitem(guards.LIMITS, name, 0)
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: size guard: ")
+    assert err.endswith(", past the guard of 0; pass --force to run anyway\n")
+    assert run(capsys, *argv, "--json", "--force") == expected

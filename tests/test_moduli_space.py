@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from helpers import naive_poset, unpruned_type_keys
-from tropica import moduli_space
+from tropica import guards
 from tropica.errors import ArgumentError, SizeGuardError
 from tropica.graphs import Multigraph, canonical_key
 from tropica.moduli_space import (CombinatorialType, build_poset,
@@ -96,17 +96,15 @@ def test_genus_four_counts():
     assert dims(types)[9] == 17
 
 
-def test_size_guard(monkeypatch):
-    # the guard is decided before any search runs
-    monkeypatch.setattr(moduli_space, "_genus_decorated_skeletons",
-                        lambda *args: {})
+def test_size_guard():
+    # (2V - 1)!! for V = 2g - 2 + n: every V <= 6 is admitted, no V >= 7
     for g, n in ((0, 7), (1, 5), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1),
                  (0, 8), (4, 0)):
-        assert enumerate_types(g, n) == []
+        assert guards.moduli(g, n) <= 10395
     for g, n in ((0, 9), (1, 7), (2, 5), (4, 1), (5, 0)):
-        with pytest.raises(SizeGuardError):
-            enumerate_types(g, n)
-        assert enumerate_types(g, n, force=True) == []
+        with pytest.raises(SizeGuardError, match="types of work"):
+            guards.moduli(g, n)
+        assert guards.moduli(g, n, force=True) > 10395
 
 
 def test_unstable_pairs_rejected():

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import (commutator_elliptic_all, naive_elliptic_hurwitz,
                      naive_line_hurwitz)
-from tropica import sym_oracle
+from tropica import guards, sym_oracle
 from tropica.errors import ArgumentError, SizeGuardError
 from tropica.sym_oracle import _elliptic_all, hurwitz_line, hurwitz_elliptic
 
@@ -59,13 +59,20 @@ def test_line_input_handling():
 
 
 def test_line_size_guard():
-    # the work estimate: 3,841,110 steps for (19) against (19), just
-    # under the guard of 4,000,000, and 5,802,258 for (20) against (20)
+    # the work estimate: 3,601,011 steps for (19) against (19), under the
+    # guard of 4,000,000, and 5,409,130 for (20) against (20); the oracle
+    # itself has no guard
+    assert guards.line_oracle(0, (19,), (19,)) == 3601011
     assert hurwitz_line(0, (19,), (19,)) == Fraction(1, 19)
-    with pytest.raises(SizeGuardError, match="about 5802258 steps"):
-        hurwitz_line(0, (20,), (20,))
-    assert hurwitz_line(0, (20,), (20,), force=True) == Fraction(1, 20)
+    with pytest.raises(SizeGuardError, match="about 5409130 steps"):
+        guards.line_oracle(0, (20,), (20,))
+    assert hurwitz_line(0, (20,), (20,)) == Fraction(1, 20)
+    # each block is priced at p(k)^2 for its own degree k, so this
+    # profile is admitted: 485,213 steps, not 4,680,599 at p(d)^2
+    mu, nu = (3, 2, 1, 3, 2, 1), (2, 2, 1, 1, 2, 2, 1, 1)
+    assert guards.line_oracle(0, mu, nu) == 485213
     # degree 7, past the former fixed limit of 6, is admitted
+    assert guards.line_oracle(0, (7,), (7,)) < guards.LIMITS["line_oracle"]
     assert hurwitz_line(0, (7,), (7,)) == Fraction(1, 7)
 
 
@@ -86,9 +93,10 @@ def test_elliptic_guards():
     # the work estimate p(d) * d + (d * s)^2: 423,164 steps at (34, 2),
     # just under the guard of 500,000, and 525,805 at (35, 2); 480420 is
     # helpers.elliptic_genus_two_content_sum(34)
+    assert guards.elliptic_oracle(34, 2) == 423164
     assert hurwitz_elliptic(34, 2) == 480420
     with pytest.raises(SizeGuardError, match="about 525805 steps"):
-        hurwitz_elliptic(35, 2)
+        guards.elliptic_oracle(35, 2)
     with pytest.raises(ArgumentError):
         hurwitz_elliptic(0, 2)
     with pytest.raises(ArgumentError):
@@ -96,7 +104,7 @@ def test_elliptic_guards():
     # (6, 2) and (2, 4), past the former fixed limits, are admitted
     assert hurwitz_elliptic(6, 2) == 360
     assert hurwitz_elliptic(2, 4) == naive_elliptic_hurwitz(2, 4)
-    assert hurwitz_elliptic(35, 2, force=True) > 0
+    assert hurwitz_elliptic(35, 2) > 0
 
 
 def test_content_sums_match_commutator_loop():
@@ -133,6 +141,6 @@ def test_line_runs_each_walk_once():
     for cached in (sym_oracle._walks, sym_oracle._line_all,
                    sym_oracle._line_transitive):
         cached.cache_clear()
-    hurwitz_line(0, (3, 2, 1, 3, 2, 1), (2, 2, 1, 1, 2, 2, 1, 1), force=True)
+    hurwitz_line(0, (3, 2, 1, 3, 2, 1), (2, 2, 1, 1, 2, 2, 1, 1))
     info = sym_oracle._walks.cache_info()
     assert (info.misses, info.hits + info.misses) == (326, 742)
