@@ -31,7 +31,8 @@ from .graph_complex import basis, differential_matrix, homology_dimension
 from .graphs import parse_graph, serialize
 from .line_covers import (double_hurwitz_tropical, iter_line_covers,
                           multiplicity)
-from .moduli_space import build_poset, enumerate_types, is_folded
+from .moduli_space import (build_poset, enumerate_types, is_folded,
+                           max_dimension)
 from .sym_oracle import hurwitz_elliptic, hurwitz_line
 from .util import frac_str
 
@@ -225,11 +226,7 @@ def _run_graph_complex(args):
 def _run_moduli(args):
     guards.moduli(args.genus, args.marks, args.force)
     types = enumerate_types(args.genus, args.marks)
-    top = max(t.dimension for t in types)
-    expected = 3 * args.genus - 3 + args.marks
-    if top != expected:
-        raise CrossCheckError(
-            f"max dimension {top} disagrees with 3g-3+n = {expected}")
+    top = max_dimension(args.genus, args.marks, types)
     poset = build_poset(types) if args.poset else None
     folded = poset.folded if poset else [is_folded(t.graph) for t in types]
     payload = {

@@ -24,11 +24,11 @@ LIMITS = {
 CAP = 100  # an argument past it counts as CAP, far past every limit
 
 
-def _check(name, work, job, unit, force, detail=""):
+def _check(name, work, job, unit, force, detail="", bound="about"):
     if work > LIMITS[name] and not force:
         about = work if work < 2 ** 64 else f"2^{work.bit_length() - 1}"
         raise SizeGuardError(
-            f"{job} is about {about} {unit} of work{detail}, past the guard "
+            f"{job} is {bound} {about} {unit} of work{detail}, past the guard "
             f"of {LIMITS[name]}; pass --force to run anyway")
     return work
 
@@ -44,12 +44,14 @@ def _class_counts(d):
 
 def _sub_multiset_counts(parts):
     """The distinct sub-multisets of parts, counted by their sum."""
-    counts = Counter({0: 1})
+    counts = {0: 1}
     for part, m in Counter(parts).items():
-        counts = sum((Counter({total + j * part: count
-                               for total, count in counts.items()})
-                      for j in range(m + 1)), Counter())
-    return counts
+        reached = dict(counts)
+        for j in range(1, m + 1):
+            for t, n in counts.items():
+                reached[t + j * part] = reached.get(t + j * part, 0) + n
+        counts = reached
+    return Counter(counts)
 
 
 def line_oracle(genus, mu, nu, force=False):
@@ -63,17 +65,22 @@ def line_oracle(genus, mu, nu, force=False):
 
 
 def line_covers(genus, mu, nu, force=False):
-    """The weight paths from mu to nu through the cover sweep's moves."""
-    s = 2 * genus - 2 + len(mu) + len(nu)
+    """The weight paths from mu to nu through the cover sweep's moves; as
+    every kept state reaches nu, a walk past the limit stops ("at least")."""
+    s, bound = 2 * genus - 2 + len(mu) + len(nu), "about"
     paths = Counter({tuple(sorted(mu)): 1})
     for table in reversed(_moves(nu, s)):
+        if sum(paths.values()) > LIMITS["line_covers"] and not force:
+            bound = "at least"
+            break
         reached = Counter()
         for weights, count in paths.items():
             for _, _, after in table.get(weights, ()):
                 reached[after] += count
         paths = reached
     return _check("line_covers", sum(paths.values()), f"listing {s}-level "
-                  f"covers of degree {sum(mu)}", "weight paths", force)
+                  f"covers of degree {sum(mu)}", "weight paths", force,
+                  bound=bound)
 
 
 def elliptic(degree, genus, force=False):

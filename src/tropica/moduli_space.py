@@ -7,10 +7,21 @@ genus h and valence k (legs included, loops counted twice) must have
 edges; contracting edges one at a time walks down the face poset of
 the cone complex.  Contracting a loop removes it and raises the genus
 of its vertex, so the total genus is constant along the poset.
+
+Only finished types and leg-free skeletons get canonical labels.  A
+leg's unique label pins its vertex under every automorphism, so legs
+added to one class give isomorphic graphs exactly when their vertices
+share an orbit of its automorphisms, and different classes never meet:
+each label goes on the least vertex of each orbit, and the automorphisms
+narrow to its stabiliser.  So too a type is its canonical skeleton S
+with a leg map (the vertex of each leg, by label) up to Aut(S).  The
+poset keys it by S and the least image of that map, contracts each
+distinct (S, edge) once, and reads the type's automorphisms off the
+stabiliser of the map.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import ArgumentError, CrossCheckError
 from .graphs import (Multigraph, automorphisms, canonical_form,
@@ -66,10 +77,7 @@ def enumerate_types(genus, num_legs):
         for num_vertices in range(max(1, num_edges + 1 - g),
                                   num_edges + 2):
             seeds = _genus_decorated_skeletons(g, n, num_edges, num_vertices)
-            found += [CombinatorialType(graph)
-                      for graph in _attach_legs(seeds, n)
-                      if all(vertex_stable(h, k) for h, k
-                             in zip(graph.genus, graph.valences()))]
+            found += map(CombinatorialType, _attach_legs(seeds, n))
     return sorted(found, key=lambda t: (t.dimension, t.key))
 
 
@@ -103,7 +111,7 @@ def _genus_decorated_skeletons(g, num_legs, num_edges, num_vertices):
 
 
 def _least_deficit(valences, budget) -> int:
-    """A lower bound on _deficit over genus decorations of the valences.
+    """A lower bound on the half-edges missing, over genus decorations.
 
     Genus 1 on a vertex of valence >= 1 leaves it nothing to miss, so the
     best use of a genus budget b clears the b largest genus-0 deficits
@@ -114,32 +122,30 @@ def _least_deficit(valences, budget) -> int:
     return sum(deficits[:max(0, len(deficits) - budget)])
 
 
-def _deficit(graph) -> int:
-    """Half-edges still missing before every vertex could be stable."""
-    return sum(max(0, 3 - 2 * h - k)
-               for h, k in zip(graph.genus, graph.valences()))
-
-
 def _attach_legs(seeds, num_legs):
-    """Add legs 1..n one label at a time, deduplicating per step.
-
-    Classes that cannot reach stability with the legs still to come
-    are pruned early.
-    """
-    current = {graph for graph in seeds if _deficit(graph) <= num_legs}
+    """The stable types from legs 1..n on the seeds, one per iso class;
+    a class missing more half-edges than legs remain is pruned."""
+    current = [(graph, [max(0, 3 - 2 * h - k) for h, k
+                        in zip(graph.genus, graph.valences())])
+               for graph in seeds]
+    current = [(graph, lack, automorphisms(graph) if num_legs else ())
+               for graph, lack in current if sum(lack) <= num_legs]
     for label in range(1, num_legs + 1):
-        remaining = num_legs - label
-        nxt = set()
-        for graph in current:
+        nxt = []
+        for graph, lack, auts in current:
             for v in range(graph.num_vertices):
+                if (sum(lack) - (lack[v] > 0) > num_legs - label
+                        or any(a[v] < v for a in auts)):
+                    continue
                 # a new label on a leg-free or all-labeled graph stays valid
-                extended = Multigraph._trusted(
+                nxt.append((Multigraph._trusted(
                     graph.num_vertices, graph.edges,
-                    graph.legs + ((v, label),), graph.genus)
-                if _deficit(extended) <= remaining:
-                    nxt.add(canonical_form(extended)[0])
+                    graph.legs + ((v, label),), graph.genus),
+                    lack[:v] + [max(0, lack[v] - 1)] + lack[v + 1:],
+                    [a for a in auts if a[v] == v]))
         current = nxt
-    return current
+    return [canonical_form(graph)[0] if num_legs else graph
+            for graph, _, _ in current]
 
 
 def is_folded(graph: Multigraph) -> bool:
@@ -149,40 +155,57 @@ def is_folded(graph: Multigraph) -> bool:
     otherwise a vertex automorphism folds exactly when it moves some
     edge to a different vertex pair.
     """
-    if any(m >= 2 for m in graph.multiplicities().values()):
-        return True
-    for perm in automorphisms(graph):
-        for u, v in graph.edges:
-            if tuple(sorted((perm[u], perm[v]))) != (u, v):
-                return True
-    return False
+    return _folds(graph, lambda: automorphisms(graph))
+
+
+def _folds(graph, find_perms) -> bool:
+    return len(set(graph.edges)) < len(graph.edges) or any(
+        tuple(sorted((perm[u], perm[v]))) != (u, v)
+        for perm in find_perms() for u, v in graph.edges)
 
 
 def build_poset(types) -> ConePoset:
-    """Cover relations by single-edge contraction, plus folding flags."""
-    types = tuple(types)
-    # types hold canonical graphs, which hash and compare on their fields
-    index = {t.graph: i for i, t in enumerate(types)}
-    covers = set()
-    for upper, t in enumerate(types):
-        for i, (u, v) in enumerate(t.graph.edges):
-            if u == v:
-                contracted = contract_loop(t.graph, i)
-            else:
-                contracted = contract_edge(t.graph, i)
-            lower = index.get(canonical_form(contracted)[0])
-            if lower is None:
-                raise ArgumentError(
-                    "contraction left the given type list")
-            covers.add((lower, upper))
-    folded = tuple(is_folded(t.graph) for t in types)
-    return ConePoset(types, tuple(sorted(covers)), folded)
+    """Cover relations by single-edge contraction, plus folding flags;
+    the automorphisms of a leg-free skeleton are found only if needed."""
+    types, index, covers = tuple(types), {}, set()
+    aut, canon, folded = cache(automorphisms), cache(canonical_form), []
+    for i, t in enumerate(types):
+        g = t.graph
+        bare = Multigraph._trusted(g.num_vertices, g.edges, (), g.genus)
+        skeleton, perm = canon(bare) if g.legs else (g, range(g.num_vertices))
+        legs = tuple(perm[v] for _, v in sorted((k, v) for v, k in g.legs))
+        index.setdefault(skeleton, {})[
+            _least(aut(skeleton) if legs else (), legs)] = i
+        folded.append(_folds(skeleton, lambda: (
+            a for a in aut(skeleton) if all(a[x] == x for x in legs))))
+    # any leg map of a type's orbit, such as its key, gives its covers
+    for skeleton, members in index.items():
+        for u, v in set(skeleton.edges):
+            contract = contract_loop if u == v else contract_edge
+            lower, perm = canonical_form(
+                contract(skeleton, skeleton.edges.index((u, v))))
+            # v merges into u and later vertices shift down by one
+            moved = [perm[u if x == v else x - (u < v < x)]
+                     for x in range(skeleton.num_vertices)]
+            below = index.get(lower, {})
+            auts = aut(lower) if any(members) else ()
+            for legs, upper in members.items():
+                found = below.get(_least(auts, [moved[x] for x in legs]))
+                if found is None:
+                    raise ArgumentError("contraction left the given type list")
+                covers.add((found, upper))
+    return ConePoset(types, tuple(sorted(covers)), tuple(folded))
 
 
-def max_dimension(genus, num_legs) -> int:
+def _least(auts, legs):
+    """The least image of a leg map under the automorphisms."""
+    return tuple(legs) and min(tuple(a[x] for x in legs) for a in auts)
+
+
+def max_dimension(genus, num_legs, types=None) -> int:
     """Largest dimension among the types; cross-checked against 3g-3+n."""
     g, n = int(genus), int(num_legs)
-    types = enumerate_types(g, n)
+    types = enumerate_types(g, n) if types is None else types
     top = max(t.dimension for t in types)
     expected = 3 * g - 3 + n
     if top != expected:

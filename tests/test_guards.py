@@ -1,12 +1,15 @@
 """The size guards: each estimate at its limit, and --force past it."""
 
 import json
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from tropica import guards
 from tropica.cli import main
 from tropica.errors import SizeGuardError
+from tropica.line_covers import _moves
 
 THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
 
@@ -19,10 +22,10 @@ THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
      "degree 20 with 1 transpositions is about 5802260 steps of work,"),
     (guards.line_covers, (1, (6, 5, 4), (5, 5, 5)), 5143,
      (2, (6, 5, 4), (5, 5, 5)),
-     "listing 8-level covers of degree 15 is about 399063 weight paths"),
+     "listing 8-level covers of degree 15 is at least 60235 weight paths"),
     (guards.line_covers, (1, (3, 2, 1), (2, 2, 1, 1)), 1955,
      (2, (6, 5, 4), (5, 5, 5)),
-     "listing 8-level covers of degree 15 is about 399063 weight paths"),
+     "listing 8-level covers of degree 15 is at least 60235 weight paths"),
     (guards.elliptic, (7, 3), 41184, (8, 3),
      "degree 8, genus 3 is about 72072 steps of work,"),
     (guards.elliptic, (2, 4), 39600, (3, 4),
@@ -57,8 +60,30 @@ def test_estimate_at_the_limit(guard, admitted, admitted_work, refused,
     text = str(exc.value)
     assert text.startswith(message)
     assert text.endswith("; pass --force to run anyway")
-    work = int(text.split(" is about ")[1].split()[0])
-    assert guard(*refused, force=True) == work
+    words = text.split(" is ", 1)[1].split()
+    if words[0] == "about":
+        assert guard(*refused, force=True) == int(words[1])
+    else:  # a walk that stopped past the limit gives a lower bound
+        assert words[:2] == ["at", "least"]
+        assert guard(*refused, force=True) > int(words[2])
+
+
+def test_line_covers_walk_stops_past_the_limit():
+    # (3) to (3) has 2^(g - 1) weight paths; the tables repeat in twos
+    assert len({id(table) for table in _moves((3,), 200_000)}) == 3
+    with pytest.raises(SizeGuardError, match="is at least 65536 weight"):
+        guards.line_covers(100_000, (3,), (3,))
+    assert guards.line_covers(17, (3,), (3,), force=True) == 2 ** 16
+
+
+def test_line_oracle_counts_sub_multisets_once_per_sum():
+    parts = (3, 2, 1, 3, 2, 1, 1)
+    chosen = {tuple(sorted(c)) for r in range(len(parts) + 1)
+              for c in combinations(parts, r)}
+    assert guards._sub_multiset_counts(parts) == Counter(map(sum, chosen))
+    # a long profile is refused at once, with the estimate it always had
+    with pytest.raises(SizeGuardError, match="is about 2\\^90 steps"):
+        guards.line_oracle(0, tuple(range(1, 121)), (7260,))
 
 
 def run(capsys, *argv):

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from helpers import naive_poset, unpruned_type_keys
-from tropica import guards
+from tropica import graphs, guards
 from tropica.errors import ArgumentError, SizeGuardError
 from tropica.graphs import Multigraph, canonical_key
 from tropica.moduli_space import (CombinatorialType, build_poset,
@@ -167,13 +167,45 @@ def test_poset_is_graded_and_downward_connected():
             assert any(poset.types[u].dimension == top for u in cursor)
 
 
-@pytest.mark.parametrize("g, n", [(0, 5), (1, 3), (2, 2)])
+# (3, 0) and (0, 6) have no legs or only trees for skeletons; in (1, 4)
+# and (3, 1) the legs break skeleton automorphisms
+@pytest.mark.parametrize("g, n", [(0, 5), (1, 3), (2, 2), (3, 0), (1, 4),
+                                  (3, 1), (0, 6)])
 def test_poset_matches_an_independent_route(g, n):
     poset = build_poset(enumerate_types(g, n))
     keys, covers, folded = naive_poset(poset.types)
     assert keys == [t.key for t in poset.types]
     assert covers == list(poset.covers)
     assert folded == list(poset.folded)
+
+
+@pytest.mark.parametrize("g, n", [(1, 3), (3, 0)])
+def test_poset_refuses_a_type_list_missing_a_lower_type(g, n):
+    types = enumerate_types(g, n)
+    lower, _ = build_poset(types).covers[0]
+    with pytest.raises(ArgumentError, match="left the given type list"):
+        build_poset(types[:lower] + types[lower + 1:])
+
+
+def test_types_and_poset_label_once_per_type(monkeypatch):
+    calls = []
+    search = graphs._search
+
+    def counted(graph):
+        calls.append(graph)
+        return search(graph)
+
+    monkeypatch.setattr(graphs, "_search", counted)
+    types = enumerate_types(1, 5)
+    build_poset(types)
+    searches = len(calls)
+    skeletons = {canonical_key(Multigraph(t.graph.num_vertices, t.graph.edges,
+                                          genus=t.graph.genus))
+                 for t in types}
+    assert (len(types), len(skeletons)) == (1576, 35)
+    # one search per finished type, a few per skeleton; labelling every
+    # extension and contraction took about 10,800
+    assert searches <= len(types) + 20 * len(skeletons)
 
 
 def test_max_dimension_values():
