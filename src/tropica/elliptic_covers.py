@@ -11,16 +11,23 @@ counterclockwise-pointing (incoming) ones.
 
 Shapes are loop-free 3-valent graphs: a loop at a 3-valent vertex
 would force the remaining flag to weight 0, so loop shapes admit no
-cover at all (loop_graphs_admit_no_cover verifies this directly).
+cover at all.
 
 The edge-data search (_assignments) decides edges one at a time.  The
 last open edge at a vertex is not searched: balance forces its weight.
+
+A vertex automorphism sigma of a shape carries the covers of a vertex
+order to those of the order sigma o order, with edge k = (u, v) moved
+to an edge pi(k) between sigma(u) and sigma(v).  Only the identity
+fixes an order, so Aut acts freely and every orbit of orders has |Aut|
+members (order_orbits).  Parallel edges may be matched in any way: a
+swap of their data is again a cover of the same order.
 
 N_{d,g} has two routes that share no code, checked against each other
 by simple_hurwitz_routes: the labeled counts N_{a,Omega} of
 labeled_table summed over shapes weighted by 1/|Aut|, and the content
 sums of sym_oracle.hurwitz_elliptic.  labeled_table runs one
-unconstrained sweep per (shape, vertex order) and buckets its results
+unconstrained sweep per orbit of vertex orders and buckets its results
 by multidegree; count_labeled_covers searches one multidegree alone.
 enumerate_elliptic_covers lists the unlabeled covers, of multiplicity
 prod(w) / #symmetries, for demos and tests; no count depends on it.
@@ -33,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, CrossCheckError
-from .graphs import (Multigraph, automorphism_group_order, enumerate_graphs,
-                     local_rh_defect)
+from .graphs import (Multigraph, automorphism_group_order, automorphisms,
+                     enumerate_graphs)
 from .sym_oracle import hurwitz_elliptic
 from .util import slot_of
 
@@ -180,7 +187,10 @@ def _assignments(edges, slots, degree, multidegree=None):
             remaining[u] += 1
             remaining[v] += 1
 
-    yield from search(0, 0)
+    try:
+        yield from search(0, 0)
+    finally:
+        del search  # it refers to itself through this cell: break the cycle
 
 
 def labeled_cover_assignments(shape: FeynmanGraph, order, multidegree):
@@ -235,44 +245,6 @@ class EllipticCover:
                         for c in Counter(self.edges).values())
         return Fraction(self.weight_product(), sym)
 
-    def reflected(self) -> "EllipticCover":
-        """The mirror cover: the circle traversed the other way."""
-        n = self.num_positions
-        flipped = tuple(sorted(
-            (n - 1 - head, n - 1 - tail, w, t)
-            for tail, head, w, t in self.edges))
-        return EllipticCover(self.genus, flipped)
-
-    def validate(self):
-        n = self.num_positions
-        flags = {p: [] for p in range(n)}
-        for tail, head, w, t in self.edges:
-            if not (0 <= tail < n and 0 <= head < n):
-                raise ArgumentError("edge endpoint out of range")
-            if w < 1 or t < 0:
-                raise ArgumentError("edge data out of range")
-            if t == 0 and tail >= head:
-                raise ArgumentError(
-                    "an uncurled edge runs from lower to higher position")
-            flags[tail].append(("out", w))
-            flags[head].append(("in", w))
-        for p in range(n):
-            if len(flags[p]) != 3:
-                raise ArgumentError(f"position {p} is not 3-valent")
-            out = sum(w for side, w in flags[p] if side == "out")
-            inc = sum(w for side, w in flags[p] if side == "in")
-            if out != inc:
-                raise ArgumentError(f"position {p} is unbalanced")
-            weights = [w for _, w in flags[p]]
-            if local_rh_defect(out, 0, 0, weights) != 1:
-                raise ArgumentError(f"position {p} has wrong local defect")
-        graph = Multigraph(n, [(min(t_, h), max(t_, h))
-                               for t_, h, _, _ in self.edges])
-        if not graph.is_connected():
-            raise ArgumentError("cover source is disconnected")
-        if graph.first_betti() != self.genus:
-            raise ArgumentError("cover source has wrong first Betti number")
-
 
 def enumerate_elliptic_covers(degree, genus):
     """All isomorphism classes of degree-d genus-g covers of the circle.
@@ -295,28 +267,62 @@ def enumerate_elliptic_covers(degree, genus):
     return sorted(found.values(), key=lambda c: c.edges)
 
 
+def order_orbits(graph: Multigraph):
+    """Vertex orders of graph up to its vertex automorphisms.
+
+    Returns {rep: [(order, pi), ...]}, one entry per orbit, where rep is
+    the orbit's first order in permutations order.  Each member order
+    is sigma o rep for one vertex automorphism sigma, and pi[k] is the
+    edge between sigma(u) and sigma(v) for edge k = (u, v): a cover of
+    rep with data a becomes a cover of order with data a'[pi[k]] = a[k].
+    Parallel edges are matched as a multiset, in edge-list order.
+    """
+    edges = graph.edges
+    between = {}
+    for k, e in enumerate(edges):
+        between.setdefault(e, []).append(k)
+    moves = []
+    for sigma in automorphisms(graph):
+        free = {e: iter(ks) for e, ks in between.items()}
+        moves.append((sigma, [next(free[tuple(sorted((sigma[u], sigma[v])))])
+                              for u, v in edges]))
+    orbits = {}
+    for rep in itertools.permutations(range(graph.num_vertices)):
+        orbit = [(tuple(sigma[x] for x in rep), pi) for sigma, pi in moves]
+        if min(order for order, _ in orbit) == rep:
+            orbits[rep] = orbit
+    return orbits
+
+
 def labeled_table(degree, genus):
     """N_{a,Omega} for every shape, vertex order and multidegree.
 
     One row (shape, |Aut|, orders) per shape; orders holds (order,
-    counts) for each vertex order, and counts the nonzero
-    (multidegree, N_{a,Omega}) pairs in the order of compositions_of.
-    Each vertex order takes one unconstrained _assignments sweep whose
-    results are bucketed by their multidegree (t*w per edge), so no
-    search runs for a multidegree that admits no cover.
+    counts) for each vertex order in permutations order, and counts the
+    nonzero (multidegree, N_{a,Omega}) pairs in the order of
+    compositions_of.  The first order of each Aut-orbit takes one
+    unconstrained _assignments sweep whose results are bucketed by their
+    multidegree (t*w per edge), so no search runs for a multidegree that
+    admits no cover.  The other orders of the orbit get these buckets
+    and counts moved through their edge maps pi (see order_orbits).
     """
     d, g = _checked_size(degree, genus)
     rows = []
     for shape in enumerate_feynman_graphs(g):
         edges = shape.graph.edges
-        orders = []
-        for order in itertools.permutations(range(shape.num_vertices)):
+        by_order = {}
+        for rep, orbit in order_orbits(shape.graph).items():
             buckets = Counter()
-            for data in _assignments(edges, slot_of(order), d):
+            for data in _assignments(edges, slot_of(rep), d):
                 buckets[tuple(w * t for w, t, _ in data)] += math.prod(
                     w for w, _, _ in data)
-            # sorted is the order of compositions_of: lexicographic
-            orders.append((order, sorted(buckets.items())))
+            for order, pi in orbit:
+                back = slot_of(pi)  # back[pi[k]] = k
+                # sorted is the order of compositions_of: lexicographic
+                by_order[order] = sorted((tuple(a[k] for k in back), count)
+                                         for a, count in buckets.items())
+        # permutations come in lexicographic order
+        orders = sorted(by_order.items())
         rows.append((shape, automorphism_group_order(shape.graph), orders))
     return rows
 
@@ -351,19 +357,3 @@ def simple_hurwitz_routes(degree, genus):
 def simple_hurwitz_tropical(degree, genus) -> Fraction:
     """N_{d,g}, cross-checked by simple_hurwitz_routes."""
     return simple_hurwitz_routes(degree, genus)[0]
-
-
-def loop_graphs_admit_no_cover(degree, genus) -> bool:
-    """Check that every 3-valent shape with a loop admits no cover.
-
-    Balancing at a loop's vertex forces the third flag to weight 0, so
-    the expected answer is always True; the search is still performed.
-    """
-    d, g = _checked_size(degree, genus)
-    loop_shapes = [m for m in trivalent_classes(g, allow_loops=True)
-                   if any(u == v for u, v in m.edges)]
-    for shape in loop_shapes:
-        for order in itertools.permutations(range(shape.num_vertices)):
-            for _ in _assignments(shape.edges, slot_of(order), d):
-                return False
-    return len(loop_shapes) > 0

@@ -17,13 +17,12 @@ reappear as series coefficients.
 """
 
 import bisect
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic_covers import (FeynmanGraph, enumerate_feynman_graphs,
-                              simple_hurwitz_tropical)
+                              order_orbits, simple_hurwitz_tropical)
 from .errors import ArgumentError
 from .graphs import automorphism_group_order
 from .util import slot_of
@@ -325,8 +324,11 @@ def mirror_check(genus, d_max):
 
     simple_hurwitz_tropical gives the counts, checked against the
     content sums; the series side sums coarse integrals over all shapes
-    and vertex orders, each shape weighted by 1/|Aut|.  Series
-    mismatches are reported in the rows, not raised.
+    and vertex orders, each shape weighted by 1/|Aut|.  Orders in one
+    Aut-orbit differ by a vertex automorphism, which only relabels the
+    edges (see order_orbits), and the coarse integral shares one q among
+    all edges.  So each orbit adds its first order's integral times the
+    orbit size.  Series mismatches are reported in the rows, not raised.
     """
     g = int(genus)
     dm = int(d_max)
@@ -338,8 +340,9 @@ def mirror_check(genus, d_max):
     for shape in enumerate_feynman_graphs(g):
         aut = automorphism_group_order(shape.graph)
         per_shape = TruncatedSeries.zero(0, 1, 0, 2 * dm)
-        for order in itertools.permutations(range(shape.num_vertices)):
-            per_shape = per_shape + coarse_integral(shape, order, dm)
+        for rep, orbit in order_orbits(shape.graph).items():
+            per_shape = per_shape + coarse_integral(shape, rep,
+                                                    dm).scale(len(orbit))
         total = total + per_shape.scale(Fraction(1, aut))
     rows = []
     for d in range(1, dm + 1):

@@ -438,6 +438,7 @@ def _search(g: Multigraph):
             pos[v] = -1
 
     descend(0, False)
+    del descend  # it refers to itself through this cell: break the cycle
     return _signature(g, ties[0]), ties
 
 
@@ -553,7 +554,10 @@ def _symmetric_matrices(residual, allow_loops, allow_parallel):
                 rem[u] += m
                 rem[v] += m
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # it refers to itself through this cell: break the cycle
 
 
 def enumerate_graphs(num_vertices, degree_sequence, num_legs=0,

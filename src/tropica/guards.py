@@ -14,7 +14,7 @@ from .line_covers import _moves
 LIMITS = {
     "line_oracle": 4_000_000,  # steps; (0, (19,), (19,)) is 3,601,011
     "line_covers": 50_000,  # weight paths; (1, (6,5,4), (5,5,5)) is 5,143
-    "elliptic": 50_000,  # steps; (7, 3) is 41,184 and runs in about 1.8 s
+    "elliptic": 50_000,  # steps; (7, 3) is 41,184 and runs in about 0.45 s
     "elliptic_oracle": 500_000,  # steps; (34, 2) is 423,164
     "chambers": 200_000,  # steps; (5, 1) is 175,616
     "feynman": 200_000,  # terms; dmax 10 on 6 edges is 168,168

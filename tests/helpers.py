@@ -5,8 +5,9 @@ vertex permutations, colour refinement and the full product behind
 canonical labelling, stub matchings, moduli types built without pruning
 and their contraction poset rebuilt through the validated constructor,
 direct permutation-tuple counts, the commutator loop over S_d, a
-product over per-edge choices of elliptic edge data, and a pairwise
-series product.  Keep inputs tiny.
+product over per-edge choices of elliptic edge data, the checks and
+mirror image of an elliptic cover, and a pairwise series product.
+Keep inputs tiny.
 """
 
 import math
@@ -14,8 +15,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
+from tropica.elliptic_covers import (EllipticCover, _assignments,
+                                     _checked_size, trivalent_classes)
+from tropica.errors import ArgumentError
 from tropica.graphs import (Multigraph, _signature, canonical_key,
-                            enumerate_graphs, serialize)
+                            enumerate_graphs, local_rh_defect, serialize)
+from tropica.util import slot_of
 from tropica.sym_oracle import _all_types, _class_rep, _class_size, _walks
 
 
@@ -528,6 +533,66 @@ def naive_edge_data(edges, slot_of, degree, multidegree=None):
     return {data for found in groups.values() for data in found
             if all(t > 0 or slot_of[tail] < slot_of[u + v - tail]
                    for (u, v), (_, t, tail) in zip(edges, data))}
+
+
+# -- elliptic covers --------------------------------------------------------
+
+def reflected_cover(cover: EllipticCover) -> EllipticCover:
+    """The mirror cover: the circle traversed the other way."""
+    n = cover.num_positions
+    flipped = tuple(sorted(
+        (n - 1 - head, n - 1 - tail, w, t)
+        for tail, head, w, t in cover.edges))
+    return EllipticCover(cover.genus, flipped)
+
+
+def validate_elliptic_cover(cover: EllipticCover):
+    """Raise ArgumentError unless cover is a connected, balanced,
+    3-valent cover of genus cover.genus with local defect 1 everywhere."""
+    n = cover.num_positions
+    flags = {p: [] for p in range(n)}
+    for tail, head, w, t in cover.edges:
+        if not (0 <= tail < n and 0 <= head < n):
+            raise ArgumentError("edge endpoint out of range")
+        if w < 1 or t < 0:
+            raise ArgumentError("edge data out of range")
+        if t == 0 and tail >= head:
+            raise ArgumentError(
+                "an uncurled edge runs from lower to higher position")
+        flags[tail].append(("out", w))
+        flags[head].append(("in", w))
+    for p in range(n):
+        if len(flags[p]) != 3:
+            raise ArgumentError(f"position {p} is not 3-valent")
+        out = sum(w for side, w in flags[p] if side == "out")
+        inc = sum(w for side, w in flags[p] if side == "in")
+        if out != inc:
+            raise ArgumentError(f"position {p} is unbalanced")
+        weights = [w for _, w in flags[p]]
+        if local_rh_defect(out, 0, 0, weights) != 1:
+            raise ArgumentError(f"position {p} has wrong local defect")
+    graph = Multigraph(n, [(min(t_, h), max(t_, h))
+                           for t_, h, _, _ in cover.edges])
+    if not graph.is_connected():
+        raise ArgumentError("cover source is disconnected")
+    if graph.first_betti() != cover.genus:
+        raise ArgumentError("cover source has wrong first Betti number")
+
+
+def loop_graphs_admit_no_cover(degree, genus) -> bool:
+    """Check that every 3-valent shape with a loop admits no cover.
+
+    Balancing at a loop's vertex forces the third flag to weight 0, so
+    the expected answer is always True; the search is still performed.
+    """
+    d, g = _checked_size(degree, genus)
+    loop_shapes = [m for m in trivalent_classes(g, allow_loops=True)
+                   if any(u == v for u, v in m.edges)]
+    for shape in loop_shapes:
+        for order in permutations(range(shape.num_vertices)):
+            for _ in _assignments(shape.edges, slot_of(order), d):
+                return False
+    return len(loop_shapes) > 0
 
 
 # -- truncated series -------------------------------------------------------

@@ -13,12 +13,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from helpers import elliptic_genus_two_content_sum
+from helpers import (elliptic_genus_two_content_sum,
+                     loop_graphs_admit_no_cover)
 from tropica.chambers import chamber_decomposition, chamber_polynomial, walls
 from tropica.elliptic_covers import (enumerate_elliptic_covers,
                                      enumerate_feynman_graphs,
                                      labeled_aggregate,
-                                     loop_graphs_admit_no_cover,
                                      simple_hurwitz_tropical)
 from tropica.feynman_series import (TruncatedSeries, mirror_check,
                                     refined_integral)

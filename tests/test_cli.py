@@ -18,7 +18,7 @@ from tropica import (cli, elliptic_covers, line_covers, moduli_space,
 from tropica.cli import main
 from tropica.errors import LoopContractionError
 from tropica.feynman_series import MirrorRow
-from tropica.graphs import parse_graph, serialize
+from tropica.graphs import automorphisms, parse_graph, serialize
 from tropica.util import slot_of
 
 THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
@@ -184,7 +184,8 @@ def test_elliptic_json_structure(capsys):
 
 def test_elliptic_runs_one_labeled_sweep(capsys, monkeypatch):
     # the labeled table takes one unconstrained edge-data sweep per
-    # (shape, order), and the content sums take none
+    # Aut-orbit of vertex orders, on the orbit's first order, and the
+    # content sums take none
     sweeps = []
     assignments = elliptic_covers._assignments
 
@@ -193,14 +194,21 @@ def test_elliptic_runs_one_labeled_sweep(capsys, monkeypatch):
         return assignments(edges, slots, degree, multidegree)
 
     monkeypatch.setattr(elliptic_covers, "_assignments", counted)
-    code, _, _ = run(capsys, "elliptic", "--degree", "3", "--genus", "2",
-                     "--json")
-    assert code == 0
-    expected = [(shape.graph.edges, tuple(slot_of(order)), None)
-                for shape in elliptic_covers.enumerate_feynman_graphs(2)
-                for order in itertools.permutations(range(2))]
-    assert len(expected) == 2
-    assert sorted(sweeps) == sorted(expected)
+    for degree, genus, orbits in ((3, 2, 1), (5, 3, 7)):
+        sweeps.clear()
+        code, _, _ = run(capsys, "elliptic", "--degree", str(degree),
+                         "--genus", str(genus), "--json")
+        assert code == 0
+        expected = []
+        for shape in elliptic_covers.enumerate_feynman_graphs(genus):
+            auts = automorphisms(shape.graph)
+            firsts = {min(tuple(sigma[x] for x in order) for sigma in auts)
+                      for order in itertools.permutations(
+                          range(shape.num_vertices))}
+            expected += [(shape.graph.edges, tuple(slot_of(order)), None)
+                         for order in firsts]
+        assert len(expected) == orbits
+        assert sorted(sweeps) == sorted(expected)
 
 
 def test_elliptic_oracle_mismatch_exits_4(capsys, monkeypatch):

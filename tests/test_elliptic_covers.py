@@ -1,7 +1,10 @@
 """Tests for tropical covers of an elliptic curve."""
 
+import gc
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,8 +15,7 @@ from tropica.elliptic_covers import (FeynmanGraph, _assignments,
                                      enumerate_feynman_graphs,
                                      labeled_aggregate,
                                      labeled_cover_assignments, labeled_table,
-                                     loop_graphs_admit_no_cover,
-                                     simple_hurwitz_tropical,
+                                     order_orbits, simple_hurwitz_tropical,
                                      trivalent_classes)
 from tropica import guards
 from tropica.errors import ArgumentError, SizeGuardError
@@ -21,7 +23,8 @@ from tropica.graphs import Multigraph, automorphism_group_order
 from tropica.sym_oracle import hurwitz_elliptic
 from tropica.util import compositions_of, slot_of
 
-from helpers import naive_edge_data
+from helpers import (loop_graphs_admit_no_cover, naive_edge_data,
+                     reflected_cover, validate_elliptic_cover)
 
 THETA = Multigraph(2, [(0, 1), (0, 1), (0, 1)])
 CATERPILLAR = Multigraph(4, [(0, 2), (0, 1), (0, 1), (1, 3), (2, 3), (2, 3)])
@@ -160,7 +163,7 @@ def test_enumerated_covers_validate():
         keys = [c.edges for c in covers]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         for cover in covers:
-            cover.validate()
+            validate_elliptic_cover(cover)
             assert cover.degree == d
             assert cover.genus == g
             assert 0 < cover.multiplicity() <= cover.weight_product()
@@ -169,24 +172,24 @@ def test_enumerated_covers_validate():
 def test_reflection_symmetry():
     # two marked positions: the mirror axis fixes every class
     for cover in enumerate_elliptic_covers(4, 2):
-        assert cover.reflected().edges == cover.edges
+        assert reflected_cover(cover).edges == cover.edges
     # four positions: a genuine involution preserving multiplicities
     covers = enumerate_elliptic_covers(3, 3)
     keys = {c.edges for c in covers}
     moved = 0
     for cover in covers:
-        mirror = cover.reflected()
-        mirror.validate()
+        mirror = reflected_cover(cover)
+        validate_elliptic_cover(mirror)
         assert mirror.edges in keys
         assert mirror.multiplicity() == cover.multiplicity()
-        assert mirror.reflected().edges == cover.edges
+        assert reflected_cover(mirror).edges == cover.edges
         moved += mirror.edges != cover.edges
     assert moved == 6
 
 
 def test_equal_multiplicity_pairing():
     # mirror-image pictures: every multiplicity occurs an even number
-    # of times even where reflected() fixes each class
+    # of times even where reflected_cover fixes each class
     for d in (2, 3, 4):
         counts = {}
         for cover in enumerate_elliptic_covers(d, 2):
@@ -233,7 +236,7 @@ def test_assignment_properties():
 
 @pytest.mark.parametrize("degree, genus",
                          [(d, 2) for d in range(2, 6)]
-                         + [(d, 3) for d in range(2, 5)])
+                         + [(d, 3) for d in range(2, 6)])
 def test_labeled_table_matches_per_multidegree_counts(degree, genus):
     # the bucketed sweep against one count_labeled_covers search per
     # composition, row for row and in the same order
@@ -247,6 +250,55 @@ def test_labeled_table_matches_per_multidegree_counts(degree, genus):
             expected = [(a, count_labeled_covers(shape, order, a))
                         for a in compositions_of(degree, shape.num_edges)]
             assert counts == [(a, n) for a, n in expected if n]
+
+
+def _buckets(edges, order, degree):
+    buckets = Counter()
+    for data in _assignments(edges, slot_of(order), degree):
+        buckets[tuple(w * t for w, t, _ in data)] += math.prod(
+            w for w, _, _ in data)
+    return buckets
+
+
+def test_order_orbits_transport_buckets():
+    # a relabelled double-edge shape whose parallel edges are apart in
+    # the edge list: every order lies in exactly one orbit, the orbit's
+    # first order represents it, and its buckets moved through pi are
+    # those of a direct sweep on each member
+    graph = Multigraph(4, [(0, 2), (1, 3), (0, 1), (2, 3), (0, 1), (2, 3)])
+    orbits = order_orbits(graph)
+    members = [order for orbit in orbits.values() for order, _ in orbit]
+    assert sorted(members) == list(itertools.permutations(range(4)))
+    assert len(orbits) == 6
+    for rep, orbit in orbits.items():
+        assert len(orbit) == 4 and rep == min(order for order, _ in orbit)
+    for degree in range(1, 6):
+        for rep, orbit in orbits.items():
+            swept = _buckets(graph.edges, rep, degree)
+            for order, pi in orbit:
+                assert sorted(pi) == list(range(6))
+                moved = Counter()
+                for a, count in swept.items():
+                    a_moved = [0] * 6
+                    for k, ak in enumerate(a):
+                        a_moved[pi[k]] = ak
+                    moved[tuple(a_moved)] = count
+                assert moved == _buckets(graph.edges, order, degree), \
+                    (degree, order)
+
+
+def test_sweeps_leave_no_garbage():
+    # the recursive search closures must not outlive the sweep
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        table = labeled_table(3, 3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(table) == 2
 
 
 @pytest.mark.parametrize("genus", [2, 3])

@@ -14,7 +14,7 @@ from tropica.feynman_series import (DivisorSum, MirrorRow, TruncatedSeries,
                                     coarse_integral, eisenstein_E2,
                                     mirror_check, propagator_factor,
                                     refined_integral, sigma)
-from tropica.graphs import Multigraph
+from tropica.graphs import Multigraph, automorphism_group_order
 from tropica.util import compositions_of, slot_of
 
 from helpers import naive_series_terms_product
@@ -267,6 +267,22 @@ def test_mirror_check_genus_three():
     rows = mirror_check(3, 3)
     assert [r.tropical for r in rows] == [0, 2, 160]
     assert all(r.match for r in rows)
+
+
+def test_mirror_check_matches_every_order():
+    # one coarse integral per Aut-orbit, times the orbit size, against
+    # the sum over every vertex order
+    for genus, d_max in ((2, 6), (3, 4)):
+        total = TruncatedSeries.zero(0, 1, 0, 2 * d_max)
+        for shape in enumerate_feynman_graphs(genus):
+            per_shape = TruncatedSeries.zero(0, 1, 0, 2 * d_max)
+            for order in itertools.permutations(range(shape.num_vertices)):
+                per_shape = per_shape + coarse_integral(shape, order, d_max)
+            total = total + per_shape.scale(
+                Fraction(1, automorphism_group_order(shape.graph)))
+        rows = mirror_check(genus, d_max)
+        assert [r.series for r in rows] == [
+            total.coefficient(q_exps=(2 * d,)) for d in range(1, d_max + 1)]
 
 
 def test_mirror_check_arguments():

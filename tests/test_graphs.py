@@ -1,6 +1,7 @@
 """Tests for the multigraph core: canonical forms, automorphisms,
 enumeration, contraction, balancing, and serialization."""
 
+import gc
 import random
 import sys
 
@@ -315,6 +316,19 @@ def test_vertex_automorphisms_respect_structure():
     assert len(automorphisms(unlabeled_legs)) == 2
     labeled_legs = Multigraph(2, [(0, 1), (0, 1)], legs=[(0, 1), (1, 2)])
     assert len(automorphisms(labeled_legs)) == 1
+
+
+def test_automorphisms_leave_no_garbage():
+    # the search's recursive closure must not outlive the call
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(automorphisms(k4())) == 24
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_automorphisms_match_brute_force():
