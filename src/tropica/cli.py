@@ -60,6 +60,7 @@ def _run_double_hurwitz(args):
     # the second route: the cover list with --list-covers, else the oracle
     guard = guards.line_covers if args.list_covers else guards.line_oracle
     guard(args.genus, mu, nu, args.force)
+    guards.line_dp(args.genus, mu, nu, args.force)
     oracle = None if args.list_covers else hurwitz_line(args.genus, mu, nu)
     total = double_hurwitz_tropical(args.genus, mu, nu)
     payload = {

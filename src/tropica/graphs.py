@@ -665,43 +665,3 @@ def contract_loop(g: Multigraph, edge_index: int) -> Multigraph:
     genus = list(g.genus)
     genus[u] += 1
     return Multigraph._trusted(g.num_vertices, edges, g.legs, tuple(genus))
-
-
-# -- local conditions ------------------------------------------------------
-
-def check_balancing(flags):
-    """Check that all direction groups of flags carry equal total weight.
-
-    flags is an iterable of (direction_tag, weight) pairs with positive
-    integer weights.  Returns the common group sum (the local degree) or
-    None if the groups disagree.
-    """
-    sums = {}
-    for tag, weight in flags:
-        w = int(weight)
-        if w < 1:
-            raise ArgumentError("flag weights must be positive integers")
-        sums[tag] = sums.get(tag, 0) + w
-    if not sums:
-        raise ArgumentError("no flags to balance")
-    values = set(sums.values())
-    if len(values) > 1:
-        return None
-    return values.pop()
-
-
-def local_rh_defect(local_degree, image_genus, vertex_genus, flag_weights):
-    """Local Riemann-Hurwitz defect at a vertex.
-
-    d * (2 - 2 * image_genus) - sum(w - 1) - (2 - 2 * vertex_genus);
-    nonnegative defects are the locally realizable ones.
-    """
-    d = int(local_degree)
-    if d < 1:
-        raise ArgumentError("local degree must be positive")
-    weights = [int(w) for w in flag_weights]
-    if any(w < 1 for w in weights):
-        raise ArgumentError("flag weights must be positive integers")
-    return (d * (2 - 2 * int(image_genus))
-            - sum(w - 1 for w in weights)
-            - (2 - 2 * int(vertex_genus)))

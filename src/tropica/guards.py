@@ -14,6 +14,7 @@ from .line_covers import _moves
 LIMITS = {
     "line_oracle": 4_000_000,  # steps; (0, (19,), (19,)) is 3,601,011
     "line_covers": 50_000,  # weight paths; (1, (6,5,4), (5,5,5)) is 5,143
+    "line_dp": 250_000,  # events; (0, (3,3,2,2,1,1), (2^4,1^4)) is 158,956
     "elliptic": 50_000,  # steps; (7, 3) is 41,184 and runs in about 0.45 s
     "elliptic_oracle": 500_000,  # steps; (34, 2) is 423,164
     "chambers": 200_000,  # steps; (5, 1) is 175,616
@@ -81,6 +82,23 @@ def line_covers(genus, mu, nu, force=False):
     return _check("line_covers", sum(paths.values()), f"listing {s}-level "
                   f"covers of degree {sum(mu)}", "weight paths", force,
                   bound=bound)
+
+
+def line_dp(genus, mu, nu, force=False):
+    """The level DP's events: the moves of each weight multiset it can hold
+    at a level, times 2^(its length) as a stand-in for the ways its
+    strands group into ends and components (0.14 to 1.5 events per unit
+    measured over 32 profiles); a walk past the limit stops ("at least")."""
+    s, bound = 2 * genus - 2 + len(mu) + len(nu), "about"
+    work, held = 0, {tuple(sorted(mu))}
+    for table in reversed(_moves(nu, s)):
+        if work > LIMITS["line_dp"] and not force:
+            bound = "at least"
+            break
+        work += sum(len(table.get(w, ())) << len(w) for w in held)
+        held = {after for w in held for _, _, after in table.get(w, ())}
+    return _check("line_dp", work, f"summing {s}-level covers of degree "
+                  f"{sum(mu)}", "events", force, bound=bound)
 
 
 def elliptic(degree, genus, force=False):

@@ -18,13 +18,14 @@ on the same side of one vertex) and w counts balanced wieners (pairs of
 parallel equal-weight edges); this equals the product divided by the
 cover's automorphism count, which is asserted per cover.
 
-The total count is additionally available through a collapsed-state
-dynamic program over the same sweep, which avoids materializing the
-cover list; both routes agree and are tested against each other.  The
-program runs in integers scaled by 2^s, since its only denominators are
-the powers of two from forks and wieners, and its totals are memoised
-per partition triple, so callers that revisit a partition through a
-permuted tuple (as chamber interpolation does) pay for one sweep.
+The total count also comes from a collapsed-state dynamic program that
+makes exactly the moves of the sweep's table (_moves), level by level,
+so every state it keeps can still reach nu and no cover is built; both
+routes agree and are tested against each other.  The program runs in
+integers scaled by 2^s, since its only denominators are the powers of
+two from forks and wieners, and its totals are memoised per partition
+triple, so callers that revisit a partition through a permuted tuple
+(as chamber interpolation does) pay for one sweep.
 """
 
 import functools
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, DegenerateInputError
-from .graphs import Multigraph, Partition, check_balancing, local_rh_defect
+from .graphs import Partition
 
 
 def _setup(genus, mu, nu):
@@ -81,47 +82,6 @@ class LineCover:
         mid = " ".join([f"{u}-{v}:{w}" for u, v, w in self.bounded_edges])
         right = " ".join([f"{v}:{w}" for v, w in self.right_ends])
         return f"left {left} | edges {mid} | right {right}"
-
-    def to_multigraph(self) -> Multigraph:
-        """The underlying source graph (levels become vertices 0..s-1)."""
-        edges = [(u - 1, v - 1) for u, v, _ in self.bounded_edges]
-        legs = [(v - 1, 0) for v, _ in self.left_ends]
-        legs += [(v - 1, 0) for v, _ in self.right_ends]
-        return Multigraph(self.num_levels, edges, legs)
-
-    def flags_at(self, level):
-        """(direction, weight) pairs of all flags at one vertex."""
-        flags = []
-        for v, w in self.left_ends:
-            if v == level:
-                flags.append(("left", w))
-        for v, w in self.right_ends:
-            if v == level:
-                flags.append(("right", w))
-        for u, v, w in self.bounded_edges:
-            if u == level:
-                flags.append(("right", w))
-            if v == level:
-                flags.append(("left", w))
-        return flags
-
-    def validate(self):
-        """Check balancing, 3-valence, and the local defect at each vertex."""
-        for level in range(1, self.num_levels + 1):
-            flags = self.flags_at(level)
-            if len(flags) != 3:
-                raise ArgumentError(f"vertex {level} is not 3-valent")
-            degree = check_balancing(flags)
-            if degree is None:
-                raise ArgumentError(f"vertex {level} is unbalanced")
-            weights = [w for _, w in flags]
-            if local_rh_defect(degree, 0, 0, weights) != 1:
-                raise ArgumentError(f"vertex {level} has wrong local defect")
-        graph = self.to_multigraph()
-        if not graph.is_connected():
-            raise ArgumentError("cover source is disconnected")
-        if graph.first_betti() != self.genus:
-            raise ArgumentError("cover source has wrong first Betti number")
 
 
 @dataclass(frozen=True)
@@ -286,139 +246,92 @@ def _levels_connected(s, edges) -> bool:
 # factors fire.  A collapsed state keeps the multiset of untouched left-end
 # weights plus, per connected component of the partial graph, the multiset
 # of solo strand weights and of equal-weight strand pairs sharing an origin
-# vertex.  Each collapsed transition carries the number of distinct
-# (origin, weight) strand choices realizing it, so summing over collapsed
-# paths equals summing multiplicities over isomorphism classes.
+# vertex.  Its weights (ends, solos, each pair twice) look up the level's
+# entry of the _moves table, and every event is one of those moves acting
+# on some strands, so the program makes exactly the moves of the cover
+# walk and keeps only states that can still reach nu.  Each event carries
+# the number of distinct (origin, weight) strand choices realizing it, so
+# summing over collapsed paths equals summing multiplicities over
+# isomorphism classes.
 
-def _canon(ends, comps):
-    cleaned = tuple(sorted(
-        (tuple(sorted(solos)), tuple(sorted(pairs)))
-        for solos, pairs in comps))
-    return (tuple(sorted(ends)), cleaned)
+def _dp_events(state, table):
+    """Yield (next_state, ways, factor) for each way one of the moves that
+    table holds for the state's weights acts on its strands.
 
-
-def _dp_events(state):
-    """Yield (next_state, ways, factor) for one level of the sweep.
-
-    factor is twice the event's multiplicity factor (1/2, 1 or an edge
-    weight product), so it is always an int.
+    A strand record (comp, kind, weight, count) stands for the untouched
+    left ends of one weight (comp None), or for the solos or the pairs of
+    one weight in one component.  factor is twice the event's
+    multiplicity factor (the inner weights taken, halved for a fork or a
+    wiener), so it is always an int.
     """
     ends, comps = state
-    end_vals = sorted(set(ends))
-
-    def ends_without(*remove):
-        pool = list(ends)
-        for r in remove:
-            pool.remove(r)
-        return pool
-
-    # merge two left ends: a fork when the weights agree
-    for i, a in enumerate(end_vals):
-        for b in end_vals[i:]:
-            if a == b and ends.count(a) < 2:
-                continue
-            new_comps = list(comps) + [((a + b,), ())]
-            yield (_canon(ends_without(a, b), new_comps), 1,
-                   1 if a == b else 2)
-
-    # split a left end
-    for a in end_vals:
-        for x in range(1, a // 2 + 1):
-            fresh = ((), (x,)) if x == a - x else ((x, a - x), ())
-            yield (_canon(ends_without(a), list(comps) + [fresh]), 1, 2)
-
-    handles = []
+    groups = [(None, "end", ends)]
     for ci, (solos, pairs) in enumerate(comps):
-        for w in sorted(set(solos)):
-            handles.append((ci, "solo", w, solos.count(w)))
-        for w in sorted(set(pairs)):
-            handles.append((ci, "pair", w, pairs.count(w)))
+        groups += [(ci, "solo", solos), (ci, "pair", pairs)]
+    weights, by_weight = [], {}
+    for ci, kind, strands in groups:
+        weights += strands * (2 if kind == "pair" else 1)
+        for w in set(strands):
+            by_weight.setdefault(w, []).append(
+                (ci, kind, w, strands.count(w)))
+    for taken, made, _ in table.get(tuple(sorted(weights)), ()):
+        for picked, ways, factor in _record_picks(taken, by_weight):
+            yield _apply(ends, comps, picked, made), ways, factor
 
-    def take_one(comps_mut, ci, kind, w):
-        solos, pairs = comps_mut[ci]
-        if kind == "solo":
-            solos = list(solos)
-            solos.remove(w)
-            comps_mut[ci] = (tuple(solos), pairs)
-        else:
-            pairs = list(pairs)
+
+def _record_picks(taken, by_weight):
+    """(records, ways, factor) for each choice of strands of the taken
+    weights, as _picks but over records: one strand, or an unordered pair
+    of strands.  A record of ends gives one way (ends are unlabeled) and
+    adds no weight to the factor; a record of m inner strands of weight w
+    gives m ways and the factor w."""
+    def one(record):
+        return (1, 1) if record[0] is None else (record[3], record[2])
+
+    if len(taken) == 1:
+        for x in by_weight.get(taken[0], ()):
+            ways, w = one(x)
+            yield (x,), ways, 2 * w
+        return
+    a, b = taken
+    firsts = by_weight.get(a, ())
+    for i, x in enumerate(firsts):
+        ci, kind, w, m = x
+        if a == b and ci is None and m > 1:  # a fork
+            yield (x, x), 1, 1
+        elif a == b and m > 1:  # two solos, or members of two pairs
+            yield (x, x), m * (m - 1) // 2, 2 * w * w
+        if a == b and kind == "pair":  # both members of one: a wiener
+            yield (x, (ci, "solo", w, 1)), m, w * w
+        x_ways, x_w = one(x)
+        for y in firsts[i + 1:] if a == b else by_weight.get(b, ()):
+            y_ways, y_w = one(y)
+            yield (x, y), x_ways * y_ways, 2 * x_w * y_w
+
+
+def _apply(ends, comps, picked, made):
+    """The state after one event: the components of the picked strands
+    fuse into one (a new one if only ends were picked), which loses the
+    picked strands and gains the made weights, as a pair when equal."""
+    fused = {ci for ci, *_ in picked} - {None}
+    ends = list(ends)
+    solos = [w for ci in fused for w in comps[ci][0]]
+    pairs = [w for ci in fused for w in comps[ci][1]]
+    for ci, kind, w, _ in picked:
+        if ci is None:
+            ends.remove(w)
+        elif kind == "pair":
             pairs.remove(w)
-            solos = list(solos) + [w]  # the widowed partner becomes solo
-            comps_mut[ci] = (tuple(solos), tuple(pairs))
-
-    def add_solo(comps_mut, ci, w):
-        solos, pairs = comps_mut[ci]
-        comps_mut[ci] = (tuple(list(solos) + [w]), pairs)
-
-    def fuse(comps_mut, ci, cj):
-        # merge component cj into ci, drop cj
-        si, pi = comps_mut[ci]
-        sj, pj = comps_mut[cj]
-        comps_mut[ci] = (si + sj, pi + pj)
-        del comps_mut[cj]
-        return ci if ci < cj else ci - 1
-
-    # merge a left end with an inner strand
-    for a in end_vals:
-        for ci, kind, w, m in handles:
-            comps_mut = list(comps)
-            take_one(comps_mut, ci, kind, w)
-            add_solo(comps_mut, ci, a + w)
-            yield (_canon(ends_without(a), comps_mut), m, 2 * w)
-
-    # merge two inner strands
-    for i in range(len(handles)):
-        ci, kind_i, wi, mi = handles[i]
-        # two instances of the same record
-        if kind_i == "solo" and mi >= 2:
-            comps_mut = list(comps)
-            take_one(comps_mut, ci, "solo", wi)
-            take_one(comps_mut, ci, "solo", wi)
-            add_solo(comps_mut, ci, 2 * wi)
-            yield (_canon(ends, comps_mut), mi * (mi - 1) // 2,
-                   2 * wi * wi)
-        if kind_i == "pair":
-            # both members of one pair: a wiener
-            comps_mut = list(comps)
-            solos, pairs = comps_mut[ci]
-            pairs = list(pairs)
-            pairs.remove(wi)
-            comps_mut[ci] = (solos, tuple(pairs))
-            add_solo(comps_mut, ci, 2 * wi)
-            yield (_canon(ends, comps_mut), mi, wi * wi)
-            if mi >= 2:
-                # one member from each of two different pairs
-                comps_mut = list(comps)
-                take_one(comps_mut, ci, "pair", wi)
-                take_one(comps_mut, ci, "pair", wi)
-                add_solo(comps_mut, ci, 2 * wi)
-                yield (_canon(ends, comps_mut), mi * (mi - 1) // 2,
-                       2 * wi * wi)
-        for j in range(i + 1, len(handles)):
-            cj, kind_j, wj, mj = handles[j]
-            comps_mut = list(comps)
-            take_one(comps_mut, ci, kind_i, wi)
-            take_one(comps_mut, cj, kind_j, wj)
-            target = ci
-            if ci != cj:
-                target = fuse(comps_mut, ci, cj)
-            add_solo(comps_mut, target, wi + wj)
-            yield (_canon(ends, comps_mut), mi * mj, 2 * wi * wj)
-
-    # split an inner strand
-    for ci, kind, w, m in handles:
-        if w < 2:
-            continue
-        for x in range(1, w // 2 + 1):
-            comps_mut = list(comps)
-            take_one(comps_mut, ci, kind, w)
-            if x == w - x:
-                solos, pairs = comps_mut[ci]
-                comps_mut[ci] = (solos, tuple(list(pairs) + [x]))
-            else:
-                add_solo(comps_mut, ci, x)
-                add_solo(comps_mut, ci, w - x)
-            yield (_canon(ends, comps_mut), m, 2 * w)
+            solos.append(w)  # the partner, now solo
+        else:
+            solos.remove(w)
+    if len(made) == 2 and made[0] == made[1]:
+        pairs.append(made[0])
+    else:
+        solos += made
+    rest = [c for ci, c in enumerate(comps) if ci not in fused]
+    rest.append((tuple(sorted(solos)), tuple(sorted(pairs))))
+    return tuple(ends), tuple(sorted(rest))
 
 
 def double_hurwitz_tropical(genus, mu, nu) -> Fraction:
@@ -440,22 +353,17 @@ def double_hurwitz_tropical(genus, mu, nu) -> Fraction:
 # long-lived process from growing without limit.
 @functools.lru_cache(maxsize=4096)
 def _dp_total(genus, mu_parts, nu_parts, s) -> Fraction:
-    values = {_canon(mu_parts, ()): 1}
-    for _ in range(s):
+    values = {(tuple(sorted(mu_parts)), ()): 1}
+    for table in reversed(_moves(nu_parts, s)):
         nxt = {}
         for state, v in values.items():
-            for new_state, ways, factor in _dp_events(state):
+            for new_state, ways, factor in _dp_events(state, table):
                 nxt[new_state] = nxt.get(new_state, 0) + v * ways * factor
         values = nxt
 
-    target = tuple(sorted(nu_parts))
+    # every state left has the weights of nu
     total = Fraction(0)
     for (ends, comps), v in values.items():
-        if ends or len(comps) != 1:
-            continue
-        solos, pairs = comps[0]
-        weights = tuple(sorted(solos + pairs + pairs))
-        if weights != target:
-            continue
-        total += Fraction(v, 2 ** (s + len(pairs)))
+        if not ends and len(comps) == 1:
+            total += Fraction(v, 2 ** (s + len(comps[0][1])))
     return total

@@ -5,8 +5,9 @@ vertex permutations, colour refinement and the full product behind
 canonical labelling, stub matchings, moduli types built without pruning
 and their contraction poset rebuilt through the validated constructor,
 direct permutation-tuple counts, the commutator loop over S_d, a
-product over per-edge choices of elliptic edge data, the checks and
-mirror image of an elliptic cover, and a pairwise series product.
+product over per-edge choices of elliptic edge data, the local vertex
+conditions, the checks and mirror image of an elliptic cover, the
+checks of a line cover, and a pairwise series product.
 Keep inputs tiny.
 """
 
@@ -19,7 +20,8 @@ from tropica.elliptic_covers import (EllipticCover, _assignments,
                                      _checked_size, trivalent_classes)
 from tropica.errors import ArgumentError
 from tropica.graphs import (Multigraph, _signature, canonical_key,
-                            enumerate_graphs, local_rh_defect, serialize)
+                            enumerate_graphs, serialize)
+from tropica.line_covers import LineCover
 from tropica.util import slot_of
 from tropica.sym_oracle import _all_types, _class_rep, _class_size, _walks
 
@@ -535,6 +537,46 @@ def naive_edge_data(edges, slot_of, degree, multidegree=None):
                    for (u, v), (_, t, tail) in zip(edges, data))}
 
 
+# -- local conditions ------------------------------------------------------
+
+def check_balancing(flags):
+    """Check that all direction groups of flags carry equal total weight.
+
+    flags is an iterable of (direction_tag, weight) pairs with positive
+    integer weights.  Returns the common group sum (the local degree) or
+    None if the groups disagree.
+    """
+    sums = {}
+    for tag, weight in flags:
+        w = int(weight)
+        if w < 1:
+            raise ArgumentError("flag weights must be positive integers")
+        sums[tag] = sums.get(tag, 0) + w
+    if not sums:
+        raise ArgumentError("no flags to balance")
+    values = set(sums.values())
+    if len(values) > 1:
+        return None
+    return values.pop()
+
+
+def local_rh_defect(local_degree, image_genus, vertex_genus, flag_weights):
+    """Local Riemann-Hurwitz defect at a vertex.
+
+    d * (2 - 2 * image_genus) - sum(w - 1) - (2 - 2 * vertex_genus);
+    nonnegative defects are the locally realizable ones.
+    """
+    d = int(local_degree)
+    if d < 1:
+        raise ArgumentError("local degree must be positive")
+    weights = [int(w) for w in flag_weights]
+    if any(w < 1 for w in weights):
+        raise ArgumentError("flag weights must be positive integers")
+    return (d * (2 - 2 * int(image_genus))
+            - sum(w - 1 for w in weights)
+            - (2 - 2 * int(vertex_genus)))
+
+
 # -- elliptic covers --------------------------------------------------------
 
 def reflected_cover(cover: EllipticCover) -> EllipticCover:
@@ -593,6 +635,53 @@ def loop_graphs_admit_no_cover(degree, genus) -> bool:
             for _ in _assignments(shape.edges, slot_of(order), d):
                 return False
     return len(loop_shapes) > 0
+
+
+# -- line covers -----------------------------------------------------------
+
+def line_cover_multigraph(cover: LineCover) -> Multigraph:
+    """The underlying source graph (levels become vertices 0..s-1)."""
+    edges = [(u - 1, v - 1) for u, v, _ in cover.bounded_edges]
+    legs = [(v - 1, 0) for v, _ in cover.left_ends]
+    legs += [(v - 1, 0) for v, _ in cover.right_ends]
+    return Multigraph(cover.num_levels, edges, legs)
+
+
+def line_cover_flags_at(cover: LineCover, level):
+    """(direction, weight) pairs of all flags at one vertex."""
+    flags = []
+    for v, w in cover.left_ends:
+        if v == level:
+            flags.append(("left", w))
+    for v, w in cover.right_ends:
+        if v == level:
+            flags.append(("right", w))
+    for u, v, w in cover.bounded_edges:
+        if u == level:
+            flags.append(("right", w))
+        if v == level:
+            flags.append(("left", w))
+    return flags
+
+
+def validate_line_cover(cover: LineCover):
+    """Raise ArgumentError unless every vertex is 3-valent, balanced and
+    of local defect 1, and the source is connected of the cover's genus."""
+    for level in range(1, cover.num_levels + 1):
+        flags = line_cover_flags_at(cover, level)
+        if len(flags) != 3:
+            raise ArgumentError(f"vertex {level} is not 3-valent")
+        degree = check_balancing(flags)
+        if degree is None:
+            raise ArgumentError(f"vertex {level} is unbalanced")
+        weights = [w for _, w in flags]
+        if local_rh_defect(degree, 0, 0, weights) != 1:
+            raise ArgumentError(f"vertex {level} has wrong local defect")
+    graph = line_cover_multigraph(cover)
+    if not graph.is_connected():
+        raise ArgumentError("cover source is disconnected")
+    if graph.first_betti() != cover.genus:
+        raise ArgumentError("cover source has wrong first Betti number")
 
 
 # -- truncated series -------------------------------------------------------

@@ -613,6 +613,8 @@ def test_argument_errors_exit_2(capsys):
     (("double-hurwitz", "--genus", "0", "--mu", "20", "--nu", "19,1"), 3),
     (("double-hurwitz", "--genus", "2", "--mu", "6,5,4", "--nu", "5,5,5",
       "--list-covers"), 3),
+    (("double-hurwitz", "--genus", "0", "--mu", ",".join(["1"] * 15),
+      "--nu", ",".join(["1"] * 15)), 3),
     (("chambers", "--lmu", "3", "--lnu", "3"), 3),
     (("elliptic", "--degree", "5", "--genus", "4"), 3),
     (("feynman", "--graph", "{tmp}/shape.txt", "--order", "1,2,3,4",
@@ -624,9 +626,9 @@ def test_argument_errors_exit_2(capsys):
     (("oracle", "line", "--genus", "0", "--mu", "20", "--nu", "20"), 3),
     (("oracle", "elliptic", "--degree", "35", "--genus", "2"), 3),
 ], ids=["missing-graph", "dump-matrix-dir", "cache-dir-under-file",
-        "double-hurwitz", "list-covers", "chambers", "elliptic", "feynman",
-        "mirror-check", "graph-complex", "graph-complex-edges", "moduli",
-        "oracle-line", "oracle-elliptic"])
+        "double-hurwitz", "list-covers", "double-hurwitz-dp", "chambers",
+        "elliptic", "feynman", "mirror-check", "graph-complex",
+        "graph-complex-edges", "moduli", "oracle-line", "oracle-elliptic"])
 def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
     # in a subprocess with a timeout, so that a missing guard fails the
     # case instead of hanging the suite

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from helpers import (brute_force_automorphisms, brute_force_search,
-                     full_refinement, halfedge_aut_order, random_relabel,
-                     stub_matching_classes)
+                     check_balancing, full_refinement, halfedge_aut_order,
+                     local_rh_defect, random_relabel, stub_matching_classes)
 from tropica.errors import ArgumentError, LoopContractionError
 from tropica.graphs import (
     Multigraph,
@@ -20,11 +20,9 @@ from tropica.graphs import (
     automorphisms,
     canonical_form,
     canonical_key,
-    check_balancing,
     contract_edge,
     contract_loop,
     enumerate_graphs,
-    local_rh_defect,
     parse_graph,
     serialize,
 )

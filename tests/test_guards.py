@@ -26,6 +26,9 @@ THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
     (guards.line_covers, (1, (3, 2, 1), (2, 2, 1, 1)), 1955,
      (2, (6, 5, 4), (5, 5, 5)),
      "listing 8-level covers of degree 15 is at least 60235 weight paths"),
+    (guards.line_dp, (0, (3, 3, 2, 2, 1, 1), (2, 2, 2, 2, 1, 1, 1, 1)),
+     158956, (0, (1,) * 12, (1,) * 12),
+     "summing 22-level covers of degree 12 is at least 258412 events"),
     (guards.elliptic, (7, 3), 41184, (8, 3),
      "degree 8, genus 3 is about 72072 steps of work,"),
     (guards.elliptic, (2, 4), 39600, (3, 4),
@@ -48,7 +51,7 @@ THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
     (guards.graph_complex, (4,), 34459425, (5,),
      "genus 5 is about 316234143225 pairings of work,"),
 ], ids=["line-oracle", "line-oracle-multi-part", "line-covers",
-        "line-covers-bench", "elliptic-genus-3", "elliptic-genus-4",
+        "line-covers-bench", "line-dp", "elliptic-genus-3", "elliptic-genus-4",
         "elliptic-genus-2", "elliptic-former-limit", "elliptic-oracle",
         "chambers", "feynman", "moduli-genus-0", "moduli-genus-4",
         "graph-complex"])
@@ -97,6 +100,8 @@ def run(capsys, *argv):
                      "--nu", "3")),
     ("line_covers", ("double-hurwitz", "--genus", "1", "--mu", "3",
                      "--nu", "3", "--list-covers")),
+    ("line_dp", ("double-hurwitz", "--genus", "1", "--mu", "3",
+                 "--nu", "3")),
     ("chambers", ("chambers", "--lmu", "2", "--lnu", "2")),
     ("elliptic", ("elliptic", "--degree", "3", "--genus", "2")),
     ("elliptic_oracle", ("elliptic", "--degree", "3", "--genus", "2")),
@@ -108,8 +113,8 @@ def run(capsys, *argv):
                      "--nu", "1,1,1")),
     ("elliptic_oracle", ("oracle", "elliptic", "--degree", "3",
                          "--genus", "2")),
-], ids=["double-hurwitz", "list-covers", "chambers", "elliptic",
-        "elliptic-content-sums", "feynman", "graph-complex", "moduli",
+], ids=["double-hurwitz", "list-covers", "double-hurwitz-dp", "chambers",
+        "elliptic", "elliptic-content-sums", "feynman", "graph-complex", "moduli",
         "oracle-line", "oracle-elliptic"])
 def test_force_runs_past_a_lowered_limit(tmp_path, capsys, monkeypatch,
                                          name, argv):

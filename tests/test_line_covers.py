@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import line_cover_multigraph, validate_line_cover
+from tropica import line_covers
 from tropica.errors import ArgumentError, DegenerateInputError
 from tropica.line_covers import (LineCover, _dp_total, _moves,
                                  double_hurwitz_tropical,
@@ -102,27 +104,51 @@ def test_routes_agree_degree_five():
             == double_hurwitz_tropical(g, mu, nu) == hurwitz_line(g, mu, nu)
 
 
-def test_dp_against_oracle_degree_five():
-    for mu in partitions_of(5):
-        for nu in partitions_of(5):
+@pytest.mark.parametrize("degree", [5, 6, 7])
+def test_dp_against_oracle(degree):
+    parts = list(partitions_of(degree))
+    for mu in parts:
+        for nu in parts:
             for g in (0, 1, 2):
                 s = -2 + 2 * g + len(mu) + len(nu)
-                if s < 1:
-                    continue
-                assert double_hurwitz_tropical(g, mu, nu) \
-                    == hurwitz_line(g, mu, nu), (g, mu, nu)
+                if 1 <= s <= 8:
+                    assert double_hurwitz_tropical(g, mu, nu) \
+                        == hurwitz_line(g, mu, nu), (g, mu, nu)
+
+
+def test_dp_steps_only_from_states_that_reach_nu(monkeypatch):
+    # every state the DP steps from has weights that are a key of its
+    # level's move table; at this profile a DP that made every merge and
+    # split would also reach states that cannot end at nu
+    events = line_covers._dp_events
+    stepped = []
+
+    def checked(state, table):
+        ends, comps = state
+        weights = list(ends)
+        for solos, pairs in comps:
+            weights += solos + pairs + pairs
+        assert tuple(sorted(weights)) in table, state
+        stepped.append(state)
+        return events(state, table)
+
+    monkeypatch.setattr(line_covers, "_dp_events", checked)
+    genus, mu, nu = 1, (3, 2, 1), (2, 2, 1, 1)
+    assert _dp_total.__wrapped__(genus, mu, nu, 7) == hurwitz_line(genus, mu,
+                                                                    nu)
+    assert len(stepped) > 7
 
 
 def test_cover_invariants():
     for g, mu, nu in small_cases(4, 2):
         d = sum(mu)
         for cover in enumerate_line_covers(g, mu, nu):
-            cover.validate()
+            validate_line_cover(cover)
             assert tuple(sorted((w for _, w in cover.left_ends),
                                 reverse=True)) == mu
             assert tuple(sorted((w for _, w in cover.right_ends),
                                 reverse=True)) == nu
-            graph = cover.to_multigraph()
+            graph = line_cover_multigraph(cover)
             assert graph.first_betti() == g
             assert all(graph.valence(v) == 3
                        for v in range(graph.num_vertices))
@@ -234,7 +260,7 @@ def test_degree_six_covers_match_reference():
         assert len(covers) == count, key
         assert len({c.canonical_text() for c in covers}) == count, key
         for cover in covers:
-            cover.validate()
+            validate_line_cover(cover)
         total = sum((multiplicity(c).value for c in covers), Fraction(0))
         assert total == double_hurwitz_tropical(genus, mu, nu) \
             == hurwitz_line(genus, mu, nu), key
