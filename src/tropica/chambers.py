@@ -21,19 +21,18 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import ArgumentError, CrossCheckError, DegenerateInputError
 from .line_covers import double_hurwitz_tropical
 from .util import frac_str, linear_extension_count
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(namedtuple("LinearForm", "mu_coeffs nu_coeffs")):
     """An integer linear form sum a_i mu_i + sum b_j nu_j."""
 
-    mu_coeffs: tuple
-    nu_coeffs: tuple
+    __slots__ = ()
 
     def evaluate(self, mu, nu):
         if len(mu) != len(self.mu_coeffs) or len(nu) != len(self.nu_coeffs):
@@ -85,15 +84,16 @@ def walls(lmu: int, lnu: int):
     return out
 
 
-@dataclass
-class Chamber:
-    """An open chamber: walls with fixed signs and an interior witness."""
+class Chamber(SimpleNamespace):
+    """An open chamber: walls with fixed signs and an interior witness.
 
-    walls: tuple
-    signs: tuple  # "+" or "-" per wall
-    witness_mu: tuple
-    witness_nu: tuple
-    polynomial: "ChamberPolynomial | None" = field(default=None)
+    Mutable, as chamber_polynomial sets polynomial; it compares by its
+    fields and is unhashable.  signs holds "+" or "-" per wall.
+    """
+
+    def __init__(self, walls, signs, witness_mu, witness_nu, polynomial=None):
+        super().__init__(walls=walls, signs=signs, witness_mu=witness_mu,
+                         witness_nu=witness_nu, polynomial=polynomial)
 
     def contains(self, mu, nu) -> bool:
         if sum(mu) != sum(nu):

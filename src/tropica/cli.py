@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 stdout closed before the output was written,
 
 import argparse
 import contextlib
-import csv
-import hashlib
 import itertools
 import json
 import operator
@@ -31,7 +29,7 @@ from .graph_complex import basis, differential_matrix, homology_dimension
 from .graphs import parse_graph, serialize
 from .line_covers import (double_hurwitz_tropical, iter_line_covers,
                           multiplicity)
-from .moduli_space import (build_poset, enumerate_types, is_folded,
+from .moduli_space import (build_poset, enumerate_types, folding_flags,
                            max_dimension)
 from .sym_oracle import hurwitz_elliptic, hurwitz_line
 from .util import frac_str
@@ -229,7 +227,7 @@ def _run_moduli(args):
     types = enumerate_types(args.genus, args.marks)
     top = max_dimension(args.genus, args.marks, types)
     poset = build_poset(types) if args.poset else None
-    folded = poset.folded if poset else [is_folded(t.graph) for t in types]
+    folded = poset.folded if poset else folding_flags(types)
     payload = {
         "genus": args.genus,
         "marks": args.marks,
@@ -393,6 +391,7 @@ def _cache_params(args):
 def _with_cache(args, compute):
     if not args.cache_dir:
         return compute()
+    import hashlib  # here only: it loads OpenSSL, which costs every launch
     try:
         os.makedirs(args.cache_dir, exist_ok=True)
     except OSError as exc:
@@ -525,11 +524,13 @@ def _write(args, payload, out):
         chunks = itertools.chain(encoder.iterencode(report), ["\n"])
     else:
         lines, header, rows = _COMMANDS[args.command][1](args, payload)
-        # writerow returns what the file's write returns: here the line
-        writer = csv.writer(types.SimpleNamespace(write=str),
-                            lineterminator="\n")
-        chunks = (map(writer.writerow, itertools.chain([header], rows))
-                  if args.csv else (line + "\n" for line in lines))
+        chunks = (line + "\n" for line in lines)
+        if args.csv:
+            import csv  # here only, like hashlib: most launches print no CSV
+            # writerow returns what the file's write returns: here the line
+            writer = csv.writer(types.SimpleNamespace(write=str),
+                                lineterminator="\n")
+            chunks = map(writer.writerow, itertools.chain([header], rows))
     # written in batches of chunks rather than as one string, since a
     # cover list runs to megabytes, and rather than chunk by chunk,
     # since stdout may be unbuffered

@@ -35,8 +35,7 @@ prod(w) / #symmetries, for demos and tests; no count depends on it.
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import ArgumentError, CrossCheckError
@@ -56,28 +55,27 @@ def _checked_size(degree, genus):
     return d, g
 
 
-@dataclass(frozen=True)
-class FeynmanGraph:
+class FeynmanGraph(namedtuple("FeynmanGraph", "graph")):
     """A connected loop-free 3-valent graph of genus g >= 2.
 
     Vertices are x_1..x_{2g-2} (index i is x_{i+1}), edges are
     q_1..q_{3g-3} in the order of the underlying edge list.
     """
 
-    graph: Multigraph
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = self.graph
-        if any(u == v for u, v in g.edges):
+    def __new__(cls, graph: Multigraph):
+        if any(u == v for u, v in graph.edges):
             raise ArgumentError("a Feynman graph has no loops")
-        if g.legs or any(gv != 0 for gv in g.genus):
+        if graph.legs or any(gv != 0 for gv in graph.genus):
             raise ArgumentError("a Feynman graph is undecorated")
-        if any(g.valence(v) != 3 for v in range(g.num_vertices)):
+        if any(graph.valence(v) != 3 for v in range(graph.num_vertices)):
             raise ArgumentError("a Feynman graph is 3-valent")
-        if not g.is_connected():
+        if not graph.is_connected():
             raise ArgumentError("a Feynman graph is connected")
-        if g.first_betti() < 2:
+        if graph.first_betti() < 2:
             raise ArgumentError("a Feynman graph has genus at least 2")
+        return super().__new__(cls, graph)
 
     @property
     def genus(self) -> int:
@@ -217,16 +215,14 @@ def count_labeled_covers(shape: FeynmanGraph, order, multidegree) -> int:
 
 # -- unlabeled covers --------------------------------------------------------
 
-@dataclass(frozen=True)
-class EllipticCover:
+class EllipticCover(namedtuple("EllipticCover", "genus edges")):
     """An isomorphism class of covers, as decorated edges on positions.
 
     edges holds sorted tuples (tail_position, head_position, weight,
     crossings); positions are 0-based clockwise from the base point.
     """
 
-    genus: int
-    edges: tuple
+    __slots__ = ()
 
     @property
     def num_positions(self) -> int:

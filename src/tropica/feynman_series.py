@@ -18,7 +18,7 @@ reappear as series coefficients.
 
 import bisect
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .elliptic_covers import (FeynmanGraph, enumerate_feynman_graphs,
@@ -35,12 +35,10 @@ def sigma(n) -> int:
     return sum(d for d in range(1, m + 1) if m % d == 0)
 
 
-@dataclass(frozen=True)
-class DivisorSum:
+class DivisorSum(namedtuple("DivisorSum", "argument value")):
     """A divisor sum bundled with its argument."""
 
-    argument: int
-    value: int
+    __slots__ = ()
 
     @classmethod
     def of(cls, n) -> "DivisorSum":
@@ -308,15 +306,11 @@ def coarse_integral(shape: FeynmanGraph, order, d) -> TruncatedSeries:
     return _integral(shape, order, d, coarse=True)
 
 
-@dataclass(frozen=True)
-class MirrorRow:
+class MirrorRow(namedtuple("MirrorRow",
+                           "degree q_power tropical series match")):
     """One degree of the cover-count versus series comparison."""
 
-    degree: int
-    q_power: int
-    tropical: Fraction
-    series: Fraction
-    match: bool
+    __slots__ = ()
 
 
 def mirror_check(genus, d_max):

@@ -12,7 +12,7 @@ dropped.  Homology dimensions come from exact ranks of the boundary
 matrices over the rationals.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ArgumentError
@@ -63,12 +63,11 @@ def normalize(graph: Multigraph, edge_order):
     return key, _perm_sign(positions)
 
 
-@dataclass(frozen=True)
-class OrderedGraphGenerator:
+class OrderedGraphGenerator(namedtuple("OrderedGraphGenerator",
+                                       "graph edge_order")):
     """A graph with an explicit total order on its edges."""
 
-    graph: Multigraph
-    edge_order: tuple
+    __slots__ = ()
 
     def normal_form(self):
         return normalize(self.graph, self.edge_order)

@@ -30,8 +30,7 @@ triple, so callers that revisit a partition through a permuted tuple
 
 import functools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import ArgumentError, DegenerateInputError
@@ -54,8 +53,8 @@ def _setup(genus, mu, nu):
     return g, mu, nu, s
 
 
-@dataclass(frozen=True, slots=True)
-class LineCover:
+class LineCover(namedtuple("LineCover", "genus mu nu num_levels left_ends "
+                           "bounded_edges right_ends")):
     """One isomorphism class of tropical double Hurwitz cover.
 
     Levels are 1..num_levels.  left_ends and right_ends hold (level,
@@ -63,13 +62,7 @@ class LineCover:
     hold (lower_level, upper_level, weight).  All tuples are sorted.
     """
 
-    genus: int
-    mu: tuple
-    nu: tuple
-    num_levels: int
-    left_ends: tuple
-    bounded_edges: tuple
-    right_ends: tuple
+    __slots__ = ()
 
     def weight_product(self) -> int:
         out = 1
@@ -84,12 +77,9 @@ class LineCover:
         return f"left {left} | edges {mid} | right {right}"
 
 
-@dataclass(frozen=True)
-class CoverMultiplicity:
-    weight_product: int
-    forks: int
-    wieners: int
-    value: Fraction
+class CoverMultiplicity(namedtuple("CoverMultiplicity",
+                                   "weight_product forks wieners value")):
+    __slots__ = ()
 
 
 def multiplicity(cover: LineCover) -> CoverMultiplicity:

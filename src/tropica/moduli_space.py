@@ -20,8 +20,9 @@ distinct (S, edge) once, and reads the type's automorphisms off the
 stabiliser of the map.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
+from itertools import compress
 
 from .errors import ArgumentError, CrossCheckError
 from .graphs import (Multigraph, automorphisms, canonical_form,
@@ -33,11 +34,13 @@ def vertex_stable(genus: int, valence: int) -> bool:
     return 2 * genus - 2 + valence > 0
 
 
-@dataclass(frozen=True)
-class CombinatorialType:
-    """A stable combinatorial type, stored as a canonical graph."""
+class CombinatorialType(namedtuple("CombinatorialType", "graph")):
+    """A stable combinatorial type, stored as a canonical graph.
 
-    graph: Multigraph
+    No __slots__: cached_property writes key to __dict__ directly."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: types are immutable")
 
     @property
     def dimension(self) -> int:
@@ -48,8 +51,7 @@ class CombinatorialType:
         return serialize(self.graph)
 
 
-@dataclass(frozen=True)
-class ConePoset:
+class ConePoset(namedtuple("ConePoset", "types covers folded")):
     """Face poset of a tropical moduli cone complex.
 
     covers lists (lower, upper) index pairs with dimensions differing
@@ -57,9 +59,7 @@ class ConePoset:
     edges nontrivially, so the orthant is glued to itself.
     """
 
-    types: tuple
-    covers: tuple
-    folded: tuple
+    __slots__ = ()
 
 
 def enumerate_types(genus, num_legs):
@@ -164,20 +164,38 @@ def _folds(graph, find_perms) -> bool:
         for perm in find_perms() for u, v in graph.edges)
 
 
-def build_poset(types) -> ConePoset:
-    """Cover relations by single-edge contraction, plus folding flags;
-    the automorphisms of a leg-free skeleton are found only if needed."""
-    types, index, covers = tuple(types), {}, set()
-    aut, canon, folded = cache(automorphisms), cache(canonical_form), []
-    for i, t in enumerate(types):
+def folding_flags(types) -> tuple:
+    """is_folded of each type: a parallel pair folds, and the other types
+    are read off the automorphisms of their skeletons."""
+    types = tuple(types)
+    simple = [len(set(t.graph.edges)) == len(t.graph.edges) for t in types]
+    maps = _skeleton_maps(compress(types, simple), cache(automorphisms))
+    return tuple(next(maps)[2] if s else True for s in simple)
+
+
+def _skeleton_maps(types, aut):
+    """(skeleton, legs, folded) per type: its canonical leg-free skeleton,
+    the skeleton vertex of each leg by label, and whether the stabiliser
+    of those vertices in aut(skeleton) folds the skeleton.  The
+    automorphisms of a skeleton are found only if needed."""
+    canon = cache(canonical_form)
+    for t in types:
         g = t.graph
         bare = Multigraph._trusted(g.num_vertices, g.edges, (), g.genus)
         skeleton, perm = canon(bare) if g.legs else (g, range(g.num_vertices))
         legs = tuple(perm[v] for _, v in sorted((k, v) for v, k in g.legs))
+        yield skeleton, legs, _folds(skeleton, lambda: (
+            a for a in aut(skeleton) if all(a[x] == x for x in legs)))
+
+
+def build_poset(types) -> ConePoset:
+    """Cover relations by single-edge contraction, plus folding flags."""
+    types, index, covers = tuple(types), {}, set()
+    aut = cache(automorphisms)
+    maps = list(_skeleton_maps(types, aut))
+    for i, (skeleton, legs, _) in enumerate(maps):
         index.setdefault(skeleton, {})[
             _least(aut(skeleton) if legs else (), legs)] = i
-        folded.append(_folds(skeleton, lambda: (
-            a for a in aut(skeleton) if all(a[x] == x for x in legs))))
     # any leg map of a type's orbit, such as its key, gives its covers
     for skeleton, members in index.items():
         for u, v in set(skeleton.edges):
@@ -194,7 +212,8 @@ def build_poset(types) -> ConePoset:
                 if found is None:
                     raise ArgumentError("contraction left the given type list")
                 covers.add((found, upper))
-    return ConePoset(types, tuple(sorted(covers)), tuple(folded))
+    return ConePoset(types, tuple(sorted(covers)),
+                     tuple(flag for _, _, flag in maps))
 
 
 def _least(auts, legs):

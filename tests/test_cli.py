@@ -374,21 +374,17 @@ def test_moduli_folds_each_type_once(capsys, monkeypatch, poset):
         calls.append(graph)
         return folded(graph)
 
-    monkeypatch.setattr(cli, "is_folded", counted)
     monkeypatch.setattr(moduli_space, "is_folded", counted)
     argv = ["moduli", "--genus", "1", "--marks", "3", "--json"]
     code, out, _ = run(capsys, *argv + ["--poset"] * poset)
     assert code == 0
     types = json.loads(out)["result"]["types"]
     assert len(types) == 23
-    if poset:
-        # the poset reads its flags off the skeleton automorphisms
-        assert calls == []
-        assert [t["folded"] for t in types] == [
-            folded(parse_graph(t["graph"])) for t in types]
-    else:
-        assert sorted(serialize(g) for g in calls) == sorted(
-            t["graph"] for t in types)
+    # with or without the poset, the flags come from the skeleton
+    # automorphisms and agree with is_folded on each type
+    assert calls == []
+    assert [t["folded"] for t in types] == [
+        folded(parse_graph(t["graph"])) for t in types]
 
 
 def test_csv_outputs(capsys):
@@ -679,6 +675,21 @@ def test_closed_stdout_pipe_exits_without_traceback():
         proc.stderr.close()
     assert b"Traceback" not in err
     assert err == b""
+
+
+def test_import_loads_no_heavy_modules():
+    # dataclasses pulls in inspect, ast and dis; hashlib loads OpenSSL.
+    # Every launch would pay for them, and only --cache-dir needs hashlib.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = ("import sys; before = set(sys.modules); import tropica.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "tropica.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "hashlib", "csv"}
 
 
 @pytest.mark.skipif(shutil.which("tropica") is None,

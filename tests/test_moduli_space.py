@@ -7,8 +7,8 @@ from tropica import graphs, guards
 from tropica.errors import ArgumentError, SizeGuardError
 from tropica.graphs import Multigraph, canonical_key
 from tropica.moduli_space import (CombinatorialType, build_poset,
-                                  enumerate_types, is_folded, max_dimension,
-                                  vertex_stable)
+                                  enumerate_types, folding_flags, is_folded,
+                                  max_dimension, vertex_stable)
 
 
 def dims(types):
@@ -177,6 +177,8 @@ def test_poset_matches_an_independent_route(g, n):
     assert keys == [t.key for t in poset.types]
     assert covers == list(poset.covers)
     assert folded == list(poset.folded)
+    # the flags without the poset, as `moduli` without --poset prints them
+    assert folding_flags(iter(poset.types)) == poset.folded
 
 
 @pytest.mark.parametrize("g, n", [(1, 3), (3, 0)])
