@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 from .errors import ArgumentError, CrossCheckError, DegenerateInputError
 from .line_covers import double_hurwitz_tropical
-from .util import frac_str, linear_extension_count
+from .util import frac_str, linear_extension_count, reduce_row
 
 class LinearForm(namedtuple("LinearForm", "mu_coeffs nu_coeffs")):
     """An integer linear form sum a_i mu_i + sum b_j nu_j."""
@@ -375,26 +375,15 @@ def _interpolated_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
                                              zip(coords, e))
                for e in basis]
         row.append(count.numerator)
-        # fraction-free elimination to an upper triangular system: each
-        # step takes an integer combination a*row - b*pivot_row, and the
-        # row's content is divided out to keep the entries small
-        for pivot_col, pivot_row in rows:
-            b = row[pivot_col]
-            if b != 0:
-                a = pivot_row[pivot_col]
-                shared = math.gcd(a, b)
-                a, b = a // shared, b // shared
-                row = [a * x - b * y for x, y in zip(row, pivot_row)]
-        content = math.gcd(*row)
-        if content > 1:
-            row = [x // content for x in row]
-        lead = next((k for k in range(len(basis)) if row[k] != 0), None)
+        # eliminate to an upper triangular system; a row whose lead is
+        # the count column says 0 = count
+        lead, row = reduce_row(rows, row)
         if lead is None:
-            if row[-1] != 0:
-                raise CrossCheckError(
-                    "interpolation system is inconsistent; the chamber "
-                    "counts are not polynomial of the expected degree")
             continue
+        if lead == len(basis):
+            raise CrossCheckError(
+                "interpolation system is inconsistent; the chamber "
+                "counts are not polynomial of the expected degree")
         rows.append((lead, row))
         if len(rows) == len(basis):
             solution = [Fraction(0)] * len(basis)

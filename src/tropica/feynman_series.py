@@ -206,14 +206,16 @@ def _divisors(n):
     return [w for w in range(1, n + 1) if n % w == 0]
 
 
-def propagator_factor(k1, k2, lower, q_var, d, num_x, num_q,
-                      x_bound=None, q_bound=None) -> TruncatedSeries:
+def propagator_factor(k1, k2, lower, q_var, d, num_x,
+                      num_q) -> TruncatedSeries:
     """The expanded factor of one edge between vertices k1 and k2.
 
     The q-degree-0 part is the geometric sum w*(x_lower/x_higher)^{2w}
     for w = 1..d, where lower names the endpoint that comes first in
     the vertex order.  The q^{2a} part, for a = 1..d, sums
     w*((x_k1/x_k2)^{2w} + (x_k2/x_k1)^{2w}) over divisors w of a.
+    The series is truncated at |x| <= 6d and q <= 2d, which every term
+    meets: |x| = 2w <= 2d and q = 2a <= 2d.
     """
     if k1 == k2:
         raise ArgumentError("an edge factor needs two distinct vertices")
@@ -225,9 +227,7 @@ def propagator_factor(k1, k2, lower, q_var, d, num_x, num_q,
         raise ArgumentError("edge variable index out of range")
     if d < 0:
         raise ArgumentError("truncation degree is nonnegative")
-    xb = 6 * d if x_bound is None else x_bound
-    qb = 2 * d if q_bound is None else q_bound
-    series = TruncatedSeries(num_x, num_q, xb, qb)
+    series = TruncatedSeries(num_x, num_q, 6 * d, 2 * d)
     higher = k2 if lower == k1 else k1
 
     def key(source, target, w, q_exp):
@@ -239,16 +239,11 @@ def propagator_factor(k1, k2, lower, q_var, d, num_x, num_q,
         return (tuple(x_exps), tuple(q_exps))
 
     for w in range(1, d + 1):
-        k = key(lower, higher, w, 0)
-        if series._fits(*k):
-            series.terms[k] = w
+        series.terms[key(lower, higher, w, 0)] = w
     for a in range(1, d + 1):
-        if 2 * a > qb:
-            break
         for w in _divisors(a):
-            for k in (key(k1, k2, w, 2 * a), key(k2, k1, w, 2 * a)):
-                if series._fits(*k):
-                    series.terms[k] = w
+            series.terms[key(k1, k2, w, 2 * a)] = w
+            series.terms[key(k2, k1, w, 2 * a)] = w
     return series
 
 

@@ -8,17 +8,17 @@ is any graph with an automorphism acting oddly on edges.
 
 The differential contracts one edge at a time with alternating signs;
 contractions that would create a loop leave the complex and are
-dropped.  Homology dimensions come from exact ranks of the boundary
-matrices over the rationals.
+dropped.  Homology dimensions come from exact ranks of the integer
+boundary matrices, found by fraction-free integer elimination; that
+rank is the rank over the rationals.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import ArgumentError
 from .graphs import (Multigraph, automorphisms, canonical_form, contract_edge,
                      enumerate_graphs, parse_graph, serialize)
-from .util import cycle_type, partitions_of
+from .util import cycle_type, partitions_of, reduce_row
 
 def _perm_sign(perm) -> int:
     """+1 or -1: a permutation's parity is that of n minus its cycle count."""
@@ -154,7 +154,8 @@ def basis(genus, num_edges):
     """Sorted canonical keys of the nonzero generators at (g, n).
 
     A genus-g generator with n edges has n - g + 1 vertices; valences
-    are at least 3, so n ranges over [g + 1, 3g - 3].
+    are at least 3, so n ranges over [g + 1, 3g - 3].  A parallel pair
+    makes a generator zero, so only simple graphs are enumerated.
     """
     g, n = int(genus), int(num_edges)
     if g < 2:
@@ -166,18 +167,12 @@ def basis(genus, num_edges):
     keys = []
     if num_vertices >= 2 and 2 * n >= 3 * num_vertices:
         spare = 2 * n - 3 * num_vertices
-        seen = set()
         for extra in partitions_of(spare):
             if len(extra) > num_vertices:
                 continue
-            padded = tuple(sorted(
-                [3 + x for x in extra] + [3] * (num_vertices - len(extra)),
-                reverse=True))
-            if padded in seen:
-                continue
-            seen.add(padded)
+            padded = [3 + x for x in extra] + [3] * (num_vertices - len(extra))
             for graph in enumerate_graphs(num_vertices, padded,
-                                          allow_loops=False):
+                                          allow_parallel=False):
                 key, sign = normalize(graph, tuple(range(n)))
                 if sign:
                     keys.append(key)
@@ -212,33 +207,18 @@ def differential_matrix(genus, num_edges):
 
 
 def _rank(entries, num_rows, num_cols) -> int:
+    """Rank of the integer matrix with the given nonzero entries."""
     if not entries:
         return 0
-    rows = [[Fraction(0)] * num_cols for _ in range(num_rows)]
+    rows = [[0] * num_cols for _ in range(num_rows)]
     for (r, c), value in entries.items():
-        rows[r][c] = Fraction(value)
-    rank = 0
-    pivot_row = 0
-    for col in range(num_cols):
-        pivot = None
-        for r in range(pivot_row, num_rows):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        for r in range(pivot_row + 1, num_rows):
-            if rows[r][col]:
-                factor = rows[r][col] / lead
-                for c in range(col, num_cols):
-                    rows[r][c] -= factor * rows[pivot_row][c]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == num_rows:
-            break
-    return rank
+        rows[r][c] = value
+    pivots = []
+    for row in rows:
+        lead, row = reduce_row(pivots, row)
+        if lead is not None:
+            pivots.append((lead, row))
+    return len(pivots)
 
 
 def homology_dimension(genus, num_edges) -> int:

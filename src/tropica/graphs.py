@@ -7,8 +7,7 @@ edge is a pair of half-edges glued together and each leg is an unglued
 half-edge; loops count 2 toward valence, legs count 1.
 
 The module provides canonical forms, automorphism counting, enumeration
-of isomorphism classes with prescribed valences, edge contraction, and
-the local balancing / defect checks used by the cover-counting modules.
+of isomorphism classes with prescribed valences, and edge contraction.
 Everything is exact integer combinatorics.
 
 Canonical labelling is one depth-first branch-and-bound search, _search,
@@ -16,53 +15,8 @@ over the relabelings that keep the refined vertex color classes in
 order; canonical_form and automorphisms both read their answer off it.
 """
 
-from itertools import product
-
 from .errors import ArgumentError, LoopContractionError
 from .util import slot_of
-
-
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        try:
-            t = tuple(sorted((int(p) for p in parts), reverse=True))
-        except (TypeError, ValueError) as exc:
-            raise ArgumentError(f"not a partition: {parts!r}") from exc
-        if not t:
-            raise ArgumentError("a partition needs at least one part")
-        if t[-1] < 1:
-            raise ArgumentError(f"partition parts must be positive: {parts!r}")
-        self.parts = t
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("Partition", self.parts))
-
-    def __repr__(self):
-        return f"Partition({list(self.parts)!r})"
 
 
 class Multigraph:
@@ -560,18 +514,16 @@ def _symmetric_matrices(residual, allow_loops, allow_parallel):
         del rec  # it refers to itself through this cell: break the cycle
 
 
-def enumerate_graphs(num_vertices, degree_sequence, num_legs=0,
-                     allow_loops=False, allow_parallel=True):
+def enumerate_graphs(num_vertices, degree_sequence, *, allow_loops=False,
+                     allow_parallel=True):
     """Connected multigraphs up to isomorphism with given valences.
 
     degree_sequence lists one valence per vertex (order irrelevant).
-    When num_legs > 0 the legs get the distinct labels 1..num_legs.
     Returns canonical representatives sorted by canonical key.
     """
     n = int(num_vertices)
-    k = int(num_legs)
-    if n < 0 or k < 0:
-        raise ArgumentError("vertex and leg counts must be nonnegative")
+    if n < 0:
+        raise ArgumentError("vertex count must be nonnegative")
     if n == 0:
         return []
     degrees = sorted((int(d) for d in degree_sequence), reverse=True)
@@ -579,34 +531,21 @@ def enumerate_graphs(num_vertices, degree_sequence, num_legs=0,
         raise ArgumentError("degree sequence length must match vertex count")
     if degrees and degrees[-1] < 0:
         raise ArgumentError("valences must be nonnegative")
-    total = sum(degrees)
-    if (total - k) % 2 != 0 or total < k:
+    if sum(degrees) % 2 != 0:
         return []
 
     reps = set()
-    for assignment in product(range(n), repeat=k):
-        residual = list(degrees)
-        legs = []
-        ok = True
-        for label, v in enumerate(assignment, start=1):
-            residual[v] -= 1
-            legs.append((v, label))
-            if residual[v] < 0:
-                ok = False
-                break
-        if not ok:
+    for matrix in _symmetric_matrices(degrees, allow_loops, allow_parallel):
+        edges = []
+        for (u, v), m in sorted(matrix.items()):
+            edges.extend([(u, v)] * m)
+        try:
+            g = Multigraph(n, edges)
+        except ArgumentError:
             continue
-        for matrix in _symmetric_matrices(residual, allow_loops, allow_parallel):
-            edges = []
-            for (u, v), m in sorted(matrix.items()):
-                edges.extend([(u, v)] * m)
-            try:
-                g = Multigraph(n, edges, legs)
-            except ArgumentError:
-                continue
-            if not g.is_connected():
-                continue
-            reps.add(canonical_form(g)[0])
+        if not g.is_connected():
+            continue
+        reps.add(canonical_form(g)[0])
     return sorted(reps, key=serialize)
 
 

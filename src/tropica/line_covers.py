@@ -34,22 +34,22 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import ArgumentError, DegenerateInputError
-from .graphs import Partition
+from .util import as_partition
 
 
 def _setup(genus, mu, nu):
     g = int(genus)
     if g < 0:
         raise ArgumentError("genus must be nonnegative")
-    mu = Partition(mu)
-    nu = Partition(nu)
-    if mu.size != nu.size:
+    mu = as_partition(mu)
+    nu = as_partition(nu)
+    if sum(mu) != sum(nu):
         raise ArgumentError("profiles must partition the same degree")
-    s = -2 + 2 * g + mu.length + nu.length
+    s = -2 + 2 * g + len(mu) + len(nu)
     if s < 1:
         raise DegenerateInputError(
             f"no branch vertices for genus {g}, profile lengths "
-            f"{mu.length}/{nu.length} (s = {s})")
+            f"{len(mu)}/{len(nu)} (s = {s})")
     return g, mu, nu, s
 
 
@@ -128,7 +128,7 @@ def iter_line_covers(genus, mu, nu):
     exactly the levels left (see _moves).
     """
     genus, mu, nu, s = _setup(genus, mu, nu)
-    moves = _moves(nu.parts, s)
+    moves = _moves(nu, s)
 
     def sweep(level, opens, weights, lefts, edges):
         by_weight = {}
@@ -152,12 +152,12 @@ def iter_line_covers(genus, mu, nu):
                 # come first; lefts needs no sort, since levels append in
                 # order and a merge takes the lighter strand first
                 elif pool[0][0] and _levels_connected(s, next_edges):
-                    yield LineCover(genus, mu.parts, nu.parts, s,
+                    yield LineCover(genus, mu, nu, s,
                                     next_lefts, tuple(sorted(next_edges)),
                                     pool)
 
-    yield from sweep(1, tuple(sorted((0, m) for m in mu.parts)),
-                     tuple(sorted(mu.parts)), (), ())
+    yield from sweep(1, tuple(sorted((0, m) for m in mu)),
+                     tuple(sorted(mu)), (), ())
 
 
 def _picks(taken, by_weight, opens):
@@ -336,7 +336,7 @@ def double_hurwitz_tropical(genus, mu, nu) -> Fraction:
     enumerate_line_covers() and with the symmetric group oracle.
     """
     genus, mu, nu, s = _setup(genus, mu, nu)
-    return _dp_total(genus, mu.parts, nu.parts, s)
+    return _dp_total(genus, mu, nu, s)
 
 
 # Entries are a few small tuples and one Fraction; the bound only keeps a

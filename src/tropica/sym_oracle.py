@@ -27,8 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ArgumentError
-from .graphs import Partition
-from .util import cycle_type, partitions_of
+from .util import as_partition, cycle_type, partitions_of
 
 
 def _class_rep(parts):
@@ -165,15 +164,15 @@ def hurwitz_line(genus, mu, nu) -> Fraction:
     g = int(genus)
     if g < 0:
         raise ArgumentError("genus must be nonnegative")
-    mu = Partition(mu)
-    nu = Partition(nu)
-    if mu.size != nu.size:
+    mu = as_partition(mu)
+    nu = as_partition(nu)
+    d = sum(mu)
+    if d != sum(nu):
         raise ArgumentError("profiles must partition the same degree")
-    d = mu.size
-    s = 2 * g - 2 + mu.length + nu.length
+    s = 2 * g - 2 + len(mu) + len(nu)
     if s < 0:
         raise ArgumentError("no transposition count fits this genus")
-    count = _line_transitive(d, mu.parts, nu.parts, s)
+    count = _line_transitive(d, mu, nu, s)
     return Fraction(count, math.factorial(d))
 
 

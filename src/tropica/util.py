@@ -1,8 +1,9 @@
 """Small shared helpers: exact rational formatting, integer partitions,
-compositions, vertex slots, cycle types, and linear extension counts of
-small posets.
+compositions, vertex slots, cycle types, fraction-free row reduction,
+and linear extension counts of small posets.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import ArgumentError
@@ -14,6 +15,20 @@ def frac_str(value) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def as_partition(parts):
+    """The parts of a partition as a weakly decreasing tuple of positive
+    integers; raises ArgumentError on anything else."""
+    try:
+        t = tuple(sorted((int(p) for p in parts), reverse=True))
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"not a partition: {parts!r}") from exc
+    if not t:
+        raise ArgumentError("a partition needs at least one part")
+    if t[-1] < 1:
+        raise ArgumentError(f"partition parts must be positive: {parts!r}")
+    return t
 
 
 def partitions_of(n: int, max_part: int | None = None):
@@ -72,6 +87,30 @@ def cycle_type(perm):
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def reduce_row(pivots, row):
+    """Reduce an integer row against echelon rows without fractions.
+
+    pivots lists (lead, pivot_row) pairs; each pivot row is zero before
+    its lead column and at the leads of the pairs listed before it.  Each
+    step takes the integer combination a*row - b*pivot_row that clears
+    the row at the pivot's lead, and the result's content is divided out
+    to keep the entries small.  Returns (lead, row), with lead None when
+    the row reduces to zero; appending a nonzero pair keeps pivots
+    echelon, and the number of pairs is the rank over Q.
+    """
+    for col, pivot in pivots:
+        b = row[col]
+        if b:
+            a = pivot[col]
+            shared = math.gcd(a, b)
+            a, b = a // shared, b // shared
+            row = [a * x - b * y for x, y in zip(row, pivot)]
+    content = math.gcd(*row)
+    if content > 1:
+        row = [x // content for x in row]
+    return next((k for k, x in enumerate(row) if x), None), row
 
 
 def linear_extension_count(n: int, relations) -> int:

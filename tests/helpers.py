@@ -2,8 +2,10 @@
 
 Everything here favors transparency over speed: brute-force dart and
 vertex permutations, colour refinement and the full product behind
-canonical labelling, stub matchings, moduli types built without pruning
-and their contraction poset rebuilt through the validated constructor,
+canonical labelling, stub matchings, labelled legs put on leg-free
+classes, the graph-complex basis from every multigraph, exact ranks by
+Fraction elimination, moduli types built without pruning and their
+contraction poset rebuilt through the validated constructor,
 direct permutation-tuple counts, the commutator loop over S_d, a
 product over per-edge choices of elliptic edge data, the local vertex
 conditions, the checks and mirror image of an elliptic cover, the
@@ -19,8 +21,9 @@ from itertools import permutations, product
 from tropica.elliptic_covers import (EllipticCover, _assignments,
                                      _checked_size, trivalent_classes)
 from tropica.errors import ArgumentError
-from tropica.graphs import (Multigraph, _signature, canonical_key,
-                            enumerate_graphs, serialize)
+from tropica.graph_complex import normalize
+from tropica.graphs import (Multigraph, _signature, canonical_form,
+                            canonical_key, enumerate_graphs, serialize)
 from tropica.line_covers import LineCover
 from tropica.util import slot_of
 from tropica.sym_oracle import _all_types, _class_rep, _class_size, _walks
@@ -225,6 +228,73 @@ def stub_matching_classes(num_vertices, degrees, num_legs=0,
             if g.is_connected():
                 keys.add(canonical_key(g))
     return keys
+
+
+def labeled_leg_classes(num_vertices, degrees, num_legs, allow_loops=False):
+    """Connected classes with valences `degrees` and legs labelled
+    1..num_legs, sorted by key: every placement of the labels on every
+    leg-free class whose valences the legs complete to `degrees`."""
+    target = sorted(degrees)
+    residuals = set()
+    for where in product(range(num_vertices), repeat=num_legs):
+        residual = list(target)
+        for v in where:
+            residual[v] -= 1
+        if min(residual) >= 0:
+            residuals.add(tuple(sorted(residual)))
+    found = set()
+    for residual in residuals:
+        for skeleton in enumerate_graphs(num_vertices, residual,
+                                         allow_loops=allow_loops):
+            for where in product(range(num_vertices), repeat=num_legs):
+                graph = Multigraph(num_vertices, skeleton.edges,
+                                   [(v, label) for label, v
+                                    in enumerate(where, start=1)])
+                if sorted(graph.valences()) == target:
+                    found.add(canonical_form(graph)[0])
+    return sorted(found, key=serialize)
+
+
+# -- graph complex ---------------------------------------------------------
+
+def multigraph_basis(genus, num_edges):
+    """Sorted keys of the nonzero generators at (g, n), enumerated among
+    all loop-free multigraphs, parallel pairs included, with every
+    generator sent through normalize."""
+    num_vertices = num_edges - genus + 1
+    keys = set()
+    if num_vertices < 2:
+        return []
+    for degrees in _partitions(2 * num_edges):
+        if len(degrees) != num_vertices or degrees[-1] < 3:
+            continue
+        for graph in enumerate_graphs(num_vertices, degrees):
+            key, sign = normalize(graph, tuple(range(num_edges)))
+            if sign:
+                keys.add(key)
+    return sorted(keys)
+
+
+def fraction_rank(entries, num_rows, num_cols) -> int:
+    """Rank over Q by Gaussian elimination in Fractions, with row swaps."""
+    rows = [[Fraction(0)] * num_cols for _ in range(num_rows)]
+    for (r, c), value in entries.items():
+        rows[r][c] = Fraction(value)
+    rank = 0
+    for col in range(num_cols):
+        pivot = next((r for r in range(rank, num_rows) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        for r in range(rank + 1, num_rows):
+            if rows[r][col]:
+                factor = rows[r][col] / lead
+                for c in range(col, num_cols):
+                    rows[r][c] -= factor * rows[rank][c]
+        rank += 1
+    return rank
 
 
 # -- moduli types without pruning -----------------------------------------

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import fraction_rank, multigraph_basis
 from tropica.errors import ArgumentError
-from tropica.graph_complex import (GraphChain, OrderedGraphGenerator, basis,
-                                   differential, differential_matrix,
+from tropica.graph_complex import (GraphChain, OrderedGraphGenerator, _rank,
+                                   basis, differential, differential_matrix,
                                    homology_dimension, normalize, wheel_class,
                                    wheel_graph)
 from tropica.graphs import (Multigraph, canonical_form, contract_edge,
@@ -178,6 +179,52 @@ def test_basis_small_genus():
         assert basis(4, n) == []
     with pytest.raises(ArgumentError):
         basis(1, 3)
+
+
+def test_simple_graph_basis_matches_all_multigraphs():
+    # a parallel pair makes a generator zero, so skipping multigraphs
+    # loses nothing
+    for g in (2, 3, 4):
+        for n in range(g + 1, 3 * g - 2):
+            assert basis(g, n) == multigraph_basis(g, n), (g, n)
+    for n in range(6, 12):
+        assert basis(5, n) == multigraph_basis(5, n), (5, n)
+
+
+def test_wheel_five_nonzero_in_homology():
+    key = next(iter(wheel_class(5).terms))
+    assert len(basis(5, 10)) == 2
+    assert key in basis(5, 10)
+    assert len(basis(5, 11)) == 1
+    assert homology_dimension(5, 10) == 1
+
+
+def test_rank_matches_fraction_elimination():
+    rng = random.Random(20261019)
+    for shape in [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (6, 6), (12, 5),
+                  (5, 12)]:
+        for _ in range(25):
+            rows, cols = shape
+            entries = {}
+            for r in range(rows):
+                roll = rng.random()
+                if roll < 0.15:
+                    continue  # a zero row
+                if roll < 0.35 and r >= 2:
+                    # an integer combination of two earlier rows
+                    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                    for c in range(cols):
+                        value = (a * entries.get((r - 1, c), 0)
+                                 + b * entries.get((r - 2, c), 0))
+                        if value:
+                            entries[(r, c)] = value
+                    continue
+                for c in range(cols):
+                    if rng.random() < 0.5:
+                        entries[(r, c)] = rng.randint(-4, 4) or 1
+            assert _rank(entries, rows, cols) \
+                == fraction_rank(entries, rows, cols), (shape, entries)
+    assert _rank({}, 3, 4) == 0
 
 
 def test_homology_dimensions():

@@ -9,11 +9,11 @@ import pytest
 
 from helpers import (brute_force_automorphisms, brute_force_search,
                      check_balancing, full_refinement, halfedge_aut_order,
-                     local_rh_defect, random_relabel, stub_matching_classes)
+                     labeled_leg_classes, local_rh_defect, random_relabel,
+                     stub_matching_classes)
 from tropica.errors import ArgumentError, LoopContractionError
 from tropica.graphs import (
     Multigraph,
-    Partition,
     _refined_colors,
     _search,
     automorphism_group_order,
@@ -26,6 +26,7 @@ from tropica.graphs import (
     parse_graph,
     serialize,
 )
+from tropica.util import as_partition
 
 
 def theta():
@@ -52,18 +53,20 @@ def caterpillar():
 
 
 def test_partition_basics():
-    p = Partition([1, 3, 2])
-    assert p.parts == (3, 2, 1)
-    assert p.size == 6
-    assert p.length == 3
+    p = as_partition([1, 3, 2])
+    assert p == (3, 2, 1)
+    assert sum(p) == 6
+    assert len(p) == 3
     assert list(p) == [3, 2, 1]
-    assert p == Partition((3, 2, 1))
-    with pytest.raises(ArgumentError):
-        Partition([])
-    with pytest.raises(ArgumentError):
-        Partition([2, 0])
-    with pytest.raises(ArgumentError):
-        Partition([-1])
+    assert p == as_partition((3, 2, 1))
+    with pytest.raises(ArgumentError, match="at least one part"):
+        as_partition([])
+    with pytest.raises(ArgumentError, match="must be positive"):
+        as_partition([2, 0])
+    with pytest.raises(ArgumentError, match="must be positive"):
+        as_partition([-1])
+    with pytest.raises(ArgumentError, match="not a partition"):
+        as_partition(["x"])
 
 
 def test_construction_validation():
@@ -174,7 +177,7 @@ def test_search_matches_the_full_product():
         (4, [3, 3, 3, 3], 2, True),
         (3, [3, 2, 1], 2, True),
     ]:
-        found = enumerate_graphs(n, degrees, legs, allow_loops=loops)
+        found = labeled_leg_classes(n, degrees, legs, allow_loops=loops)
         assert found
         graphs.extend(found)
     for g in enumerate_graphs(4, [3, 3, 3, 3], allow_loops=True):
@@ -344,7 +347,7 @@ def test_automorphisms_match_brute_force():
         (3, [3, 2, 1], 2, True),
         (3, [3, 3, 2], 2, False),
     ]:
-        found = enumerate_graphs(n, degrees, legs, allow_loops=loops)
+        found = labeled_leg_classes(n, degrees, legs, allow_loops=loops)
         assert found
         graphs.extend(found)
     graphs += [
@@ -371,21 +374,32 @@ def test_automorphisms_match_brute_force():
 
 def test_enumeration_matches_stub_matching():
     cases = [
-        (4, [3, 3, 3, 3], 0, False, True),
-        (4, [3, 3, 3, 3], 0, True, True),
-        (2, [3, 3], 0, False, True),
-        (3, [4, 3, 3], 0, True, True),
-        (3, [2, 2, 2], 0, False, False),
-        (2, [4, 4], 0, True, True),
-        (2, [3, 3], 2, False, True),
-        (3, [3, 2, 1], 2, True, True),
+        (4, [3, 3, 3, 3], False, True),
+        (4, [3, 3, 3, 3], True, True),
+        (2, [3, 3], False, True),
+        (3, [4, 3, 3], True, True),
+        (3, [2, 2, 2], False, False),
+        (2, [4, 4], True, True),
+        (4, [3, 3, 3, 3], False, False),
+        (4, [3, 3, 2, 2], False, False),
     ]
-    for n, degrees, legs, loops, parallel in cases:
-        found = enumerate_graphs(n, degrees, legs, allow_loops=loops,
+    for n, degrees, loops, parallel in cases:
+        found = enumerate_graphs(n, degrees, allow_loops=loops,
                                  allow_parallel=parallel)
         keys = {canonical_key(g) for g in found}
         assert len(keys) == len(found)
-        assert keys == stub_matching_classes(n, degrees, legs, loops, parallel)
+        assert keys == stub_matching_classes(n, degrees, 0, loops, parallel)
+
+
+def test_labeled_leg_classes_match_stub_matching():
+    # the legged inputs of the labelling tests above
+    for n, degrees, legs, loops in [(2, [3, 3], 2, False),
+                                    (3, [3, 2, 1], 2, True),
+                                    (3, [3, 3, 2], 2, False)]:
+        found = labeled_leg_classes(n, degrees, legs, allow_loops=loops)
+        keys = {canonical_key(g) for g in found}
+        assert len(keys) == len(found)
+        assert keys == stub_matching_classes(n, degrees, legs, loops)
 
 
 def test_enumeration_known_counts():
@@ -412,14 +426,12 @@ def test_enumeration_validation():
         enumerate_graphs(2, [3])
     with pytest.raises(ArgumentError):
         enumerate_graphs(2, [3, -3])
-    with pytest.raises(ArgumentError):
-        enumerate_graphs(2, [2, 2], num_legs=-1)
+    # the options are keyword-only: a third positional argument fails
+    with pytest.raises(TypeError):
+        enumerate_graphs(2, [3, 3], 2)
 
 
 def test_enumerated_legs_are_labeled():
-    found = enumerate_graphs(2, [2, 2], num_legs=2)
-    for g in found:
-        assert sorted(label for _, label in g.legs) == [1, 2]
     # distinct labels can distinguish attachments on an asymmetric graph
     base_edges = [(0, 1), (1, 2), (2, 2)]
     one = Multigraph(3, base_edges, legs=[(0, 1), (1, 2)])
