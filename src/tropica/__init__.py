@@ -15,8 +15,7 @@ from .errors import (ArgumentError, CrossCheckError, DegenerateInputError,
 from .feynman_series import (MirrorRow, TruncatedSeries, coarse_integral,
                              eisenstein_E2, mirror_check, propagator_factor,
                              refined_integral)
-from .graph_complex import (GraphChain, OrderedGraphGenerator, basis,
-                            differential, differential_matrix,
+from .graph_complex import (basis, differential, differential_matrix,
                             homology_dimension, normalize, wheel_class,
                             wheel_graph)
 from .graphs import (Multigraph, automorphism_group_order, automorphisms,
@@ -34,13 +33,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgumentError", "Chamber", "ChamberPolynomial", "CombinatorialType",
     "ConePoset", "CoverMultiplicity", "CrossCheckError",
-    "DegenerateInputError", "EllipticCover", "FeynmanGraph", "GraphChain",
-    "LineCover", "LinearForm", "LoopContractionError", "MirrorRow",
-    "Multigraph", "OrderedGraphGenerator", "SizeGuardError",
-    "TropicaError", "TruncatedSeries", "automorphism_group_order",
-    "automorphisms", "basis", "build_poset", "canonical_form",
-    "canonical_key", "chamber_decomposition", "chamber_polynomial",
-    "coarse_integral", "contract_edge", "contract_loop",
+    "DegenerateInputError", "EllipticCover", "FeynmanGraph", "LineCover",
+    "LinearForm", "LoopContractionError", "MirrorRow", "Multigraph",
+    "SizeGuardError", "TropicaError", "TruncatedSeries",
+    "automorphism_group_order", "automorphisms", "basis", "build_poset",
+    "canonical_form", "canonical_key", "chamber_decomposition",
+    "chamber_polynomial", "coarse_integral", "contract_edge", "contract_loop",
     "count_labeled_covers", "differential", "differential_matrix",
     "double_hurwitz_tropical", "eisenstein_E2", "enumerate_elliptic_covers",
     "enumerate_feynman_graphs", "enumerate_graphs", "enumerate_line_covers",

@@ -23,7 +23,6 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .errors import ArgumentError, CrossCheckError, DegenerateInputError
 from .line_covers import double_hurwitz_tropical
@@ -84,16 +83,13 @@ def walls(lmu: int, lnu: int):
     return out
 
 
-class Chamber(SimpleNamespace):
+class Chamber(namedtuple("Chamber", "walls signs witness_mu witness_nu")):
     """An open chamber: walls with fixed signs and an interior witness.
 
-    Mutable, as chamber_polynomial sets polynomial; it compares by its
-    fields and is unhashable.  signs holds "+" or "-" per wall.
+    signs holds "+" or "-" per wall.
     """
 
-    def __init__(self, walls, signs, witness_mu, witness_nu, polynomial=None):
-        super().__init__(walls=walls, signs=signs, witness_mu=witness_mu,
-                         witness_nu=witness_nu, polynomial=polynomial)
+    __slots__ = ()
 
     def contains(self, mu, nu) -> bool:
         if sum(mu) != sum(nu):
@@ -430,5 +426,4 @@ def chamber_polynomial(chamber: Chamber) -> ChamberPolynomial:
         raise CrossCheckError(
             "symbolic and interpolated chamber polynomials disagree: "
             f"{symbolic.text()} vs {interpolated.text()}")
-    chamber.polynomial = symbolic
     return symbolic

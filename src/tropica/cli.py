@@ -32,7 +32,7 @@ from .line_covers import (double_hurwitz_tropical, iter_line_covers,
 from .moduli_space import (build_poset, enumerate_types, folding_flags,
                            max_dimension)
 from .sym_oracle import hurwitz_elliptic, hurwitz_line
-from .util import frac_str
+from .util import as_partition, frac_str
 
 SCHEMA_VERSION = "tropica/1"
 
@@ -45,10 +45,7 @@ def _int_list(text: str):
 
 
 def _partition(text: str):
-    parts = _int_list(text)
-    if not parts or any(p < 1 for p in parts):
-        raise ArgumentError("partitions need positive integer parts")
-    return tuple(sorted(parts, reverse=True))
+    return as_partition(_int_list(text))
 
 
 # -- computations (format independent payloads) ----------------------------

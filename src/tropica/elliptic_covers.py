@@ -69,7 +69,7 @@ class FeynmanGraph(namedtuple("FeynmanGraph", "graph")):
             raise ArgumentError("a Feynman graph has no loops")
         if graph.legs or any(gv != 0 for gv in graph.genus):
             raise ArgumentError("a Feynman graph is undecorated")
-        if any(graph.valence(v) != 3 for v in range(graph.num_vertices)):
+        if any(d != 3 for d in graph.valences()):
             raise ArgumentError("a Feynman graph is 3-valent")
         if not graph.is_connected():
             raise ArgumentError("a Feynman graph is connected")

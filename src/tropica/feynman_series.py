@@ -35,16 +35,6 @@ def sigma(n) -> int:
     return sum(d for d in range(1, m + 1) if m % d == 0)
 
 
-class DivisorSum(namedtuple("DivisorSum", "argument value")):
-    """A divisor sum bundled with its argument."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, n) -> "DivisorSum":
-        return cls(int(n), sigma(n))
-
-
 class TruncatedSeries:
     """A finitely truncated series with exact coefficients.
 

@@ -13,8 +13,6 @@ boundary matrices, found by fraction-free integer elimination; that
 rank is the rank over the rationals.
 """
 
-from collections import namedtuple
-
 from .errors import ArgumentError
 from .graphs import (Multigraph, automorphisms, canonical_form, contract_edge,
                      enumerate_graphs, parse_graph, serialize)
@@ -63,60 +61,6 @@ def normalize(graph: Multigraph, edge_order):
     return key, _perm_sign(positions)
 
 
-class OrderedGraphGenerator(namedtuple("OrderedGraphGenerator",
-                                       "graph edge_order")):
-    """A graph with an explicit total order on its edges."""
-
-    __slots__ = ()
-
-    def normal_form(self):
-        return normalize(self.graph, self.edge_order)
-
-
-class GraphChain:
-    """A finite rational combination of canonical generator keys."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    self.terms[key] = coeff
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other) -> "GraphChain":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            total = out.get(key, 0) + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return GraphChain(out)
-
-    def scale(self, factor) -> "GraphChain":
-        if not factor:
-            return GraphChain()
-        return GraphChain({key: coeff * factor
-                           for key, coeff in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, GraphChain) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"GraphChain({self.terms!r})"
-
-
-def _edge_counts(chain: GraphChain):
-    return {parse_graph(key).num_edges for key in chain.terms}
-
-
 def _contraction_terms(graph: Multigraph):
     """(key, signed unit) pairs of the one-edge contractions."""
     for index, (u, v) in enumerate(graph.edges):
@@ -131,20 +75,23 @@ def _contraction_terms(graph: Multigraph):
             yield key, sign * (-1 if index % 2 else 1)
 
 
-def differential(chain: GraphChain) -> GraphChain:
-    """Alternating sum of single-edge contractions, term by term."""
-    counts = _edge_counts(chain)
-    if len(counts) > 1:
+def differential(chain):
+    """Alternating sum of single-edge contractions, term by term.
+
+    A chain maps canonical generator keys to nonzero coefficients; so
+    does the result.
+    """
+    if len({parse_graph(key).num_edges for key in chain}) > 1:
         raise ArgumentError("chain mixes generators of different degrees")
     out = {}
-    for key, coeff in chain.terms.items():
+    for key, coeff in chain.items():
         for image_key, unit in _contraction_terms(parse_graph(key)):
             total = out.get(image_key, 0) + coeff * unit
             if total:
                 out[image_key] = total
             else:
                 del out[image_key]
-    return GraphChain(out)
+    return out
 
 
 _basis_cache = {}
@@ -244,7 +191,7 @@ def wheel_graph(genus) -> Multigraph:
     return Multigraph(g + 1, spokes + rim)
 
 
-def wheel_class(genus) -> GraphChain:
+def wheel_class(genus):
     """The wheel generator with reference edge order, as a chain.
 
     Even wheels vanish: some reflection acts oddly on the edges.  The
@@ -255,9 +202,7 @@ def wheel_class(genus) -> GraphChain:
     if g < 2:
         raise ArgumentError("a wheel needs at least 2 rim vertices")
     if g == 2:
-        return GraphChain()
+        return {}
     graph = wheel_graph(g)
     key, sign = normalize(graph, tuple(range(graph.num_edges)))
-    if not sign:
-        return GraphChain()
-    return GraphChain({key: sign})
+    return {key: sign} if sign else {}

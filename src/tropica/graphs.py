@@ -15,11 +15,13 @@ over the relabelings that keep the refined vertex color classes in
 order; canonical_form and automorphisms both read their answer off it.
 """
 
+from collections import namedtuple
+
 from .errors import ArgumentError, LoopContractionError
 from .util import slot_of
 
 
-class Multigraph:
+class Multigraph(namedtuple("Multigraph", "num_vertices edges legs genus")):
     """Immutable multigraph with ordered edges, legs, and vertex genus.
 
     edges: sequence of (u, v) vertex pairs, stored with u <= v, order kept.
@@ -29,9 +31,9 @@ class Multigraph:
     genus: one nonnegative integer per vertex (default all zero).
     """
 
-    __slots__ = ("num_vertices", "edges", "legs", "genus")
+    __slots__ = ()
 
-    def __init__(self, num_vertices, edges=(), legs=(), genus=None):
+    def __new__(cls, num_vertices, edges=(), legs=(), genus=None):
         n = int(num_vertices)
         if n < 1:
             raise ArgumentError("a graph needs at least one vertex")
@@ -62,21 +64,16 @@ class Multigraph:
                 raise ArgumentError("genus list length must match vertex count")
             if any(x < 0 for x in norm_genus):
                 raise ArgumentError("vertex genus must be nonnegative")
-        self.num_vertices = n
-        self.edges = tuple(norm_edges)
-        self.legs = tuple(norm_legs)
-        self.genus = norm_genus
+        g = cls._trusted(n, tuple(norm_edges), tuple(norm_legs), norm_genus)
         # every vertex carries a half-edge, except a lone decorated vertex
-        if n > 1 and min(self.valences()) == 0:
+        if n > 1 and min(g.valences()) == 0:
             raise ArgumentError("isolated vertex in a multi-vertex graph")
+        return g
 
     @classmethod
     def _trusted(cls, num_vertices, edges, legs, genus):
-        """Set the four fields from tuples that are valid by construction."""
-        g = object.__new__(cls)
-        g.num_vertices, g.edges, g.legs, g.genus = (num_vertices, edges,
-                                                    legs, genus)
-        return g
+        """The graph of four tuples that are valid by construction."""
+        return tuple.__new__(cls, (num_vertices, edges, legs, genus))
 
     # -- basic counts ---------------------------------------------------
 
@@ -88,12 +85,8 @@ class Multigraph:
     def num_legs(self) -> int:
         return len(self.legs)
 
-    def valence(self, v: int) -> int:
-        """Half-edges at v: loops count twice, legs once."""
-        return self.valences()[v]
-
     def valences(self):
-        """Every vertex's valence, in one pass over edges and legs."""
+        """Half-edges per vertex, in one pass: loops count twice, legs once."""
         deg = [0] * self.num_vertices
         for u, v in self.edges:
             deg[u] += 1
@@ -150,21 +143,6 @@ class Multigraph:
         for v, gv in enumerate(self.genus):
             genus[perm[v]] = gv
         return Multigraph(self.num_vertices, edges, legs, genus)
-
-    # -- equality on the nose (not up to isomorphism) --------------------
-
-    def _key(self):
-        return (self.num_vertices, self.edges, self.legs, self.genus)
-
-    def __eq__(self, other):
-        return isinstance(other, Multigraph) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"Multigraph({self.num_vertices}, edges={list(self.edges)!r}, "
-                f"legs={list(self.legs)!r}, genus={list(self.genus)!r})")
 
 
 # -- serialization -------------------------------------------------------

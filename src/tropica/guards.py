@@ -5,15 +5,16 @@ a guard raises SizeGuardError unless forced (--force).  Each estimate is
 a closed form that accepts any ints, in its own unit with its own limit.
 """
 
+import itertools
 import math
 from collections import Counter
 
 from .errors import SizeGuardError
-from .line_covers import _moves
+from .line_covers import _moves, _tables
 
 LIMITS = {
     "line_oracle": 4_000_000,  # steps; (0, (19,), (19,)) is 3,601,011
-    "line_covers": 50_000,  # weight paths; (1, (6,5,4), (5,5,5)) is 5,143
+    "line_covers": 50_000,  # paths or moves; (1, (6,5,4), (5,5,5)) is 5,143
     "line_dp": 250_000,  # events; (0, (3,3,2,2,1,1), (2^4,1^4)) is 158,956
     "elliptic": 50_000,  # steps; (7, 3) is 41,184 and runs in about 0.45 s
     "elliptic_oracle": 500_000,  # steps; (34, 2) is 423,164
@@ -67,8 +68,21 @@ def line_oracle(genus, mu, nu, force=False):
 
 def line_covers(genus, mu, nu, force=False):
     """The weight paths from mu to nu through the cover sweep's moves; as
-    every kept state reaches nu, a walk past the limit stops ("at least")."""
+    every kept state reaches nu, a walk past the limit stops ("at least").
+    The sweep first builds the moves, a table per level from the weights
+    of the one before, trying each merge and split of each; the build
+    stops once the moves it has tried pass the limit ("at least")."""
     s, bound = 2 * genus - 2 + len(mu) + len(nu), "about"
+    job = f"listing {s}-level covers of degree {sum(mu)}"
+    tried, layer = 0, [tuple(sorted(nu))]
+    for table in itertools.islice(_tables(nu), max(s, 0)):
+        tried += sum(math.comb(len(w), 2) + sum(c // 2 for c in w)
+                     for w in layer)
+        if tried > LIMITS["line_covers"]:
+            _check("line_covers", tried, job, "tried moves", force,
+                   bound="at least")
+            break  # forced
+        layer = table
     paths = Counter({tuple(sorted(mu)): 1})
     for table in reversed(_moves(nu, s)):
         if sum(paths.values()) > LIMITS["line_covers"] and not force:
@@ -79,9 +93,8 @@ def line_covers(genus, mu, nu, force=False):
             for _, _, after in table.get(weights, ()):
                 reached[after] += count
         paths = reached
-    return _check("line_covers", sum(paths.values()), f"listing {s}-level "
-                  f"covers of degree {sum(mu)}", "weight paths", force,
-                  bound=bound)
+    return _check("line_covers", sum(paths.values()), job, "weight paths",
+                  force, bound=bound)
 
 
 def line_dp(genus, mu, nu, force=False):

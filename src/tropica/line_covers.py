@@ -29,6 +29,7 @@ triple, so callers that revisit a partition through a permuted tuple
 """
 
 import functools
+import itertools
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -191,12 +192,17 @@ def _moves(nu_parts, s):
     other kind, so each layer comes from the one before by running the
     moves forward.  Every key is a partition of the degree.
     """
+    moves = list(itertools.islice(_tables(nu_parts), max(s, 0)))
+    return (moves + moves[-2:] * (s // 2))[:s]
+
+
+def _tables(nu_parts):
+    """The tables of _moves in order, built one at a time.  A table
+    depends only on its layer, so once a layer equals the one two before
+    it the tables repeat in twos, and the generator stops."""
     layer = {tuple(sorted(nu_parts))}
-    moves = []
-    while len(moves) < s:
-        # a table depends only on its layer, so equal layers repeat in twos
-        if len(moves) > 2 and layer == moves[-3].keys():
-            return (moves + moves[-2:] * (s // 2))[:s]
+    tables = []
+    while len(tables) < 3 or layer != tables[-3].keys():
         table = {}
         for after in layer:
             for i, c in enumerate(after):
@@ -209,9 +215,9 @@ def _moves(nu_parts, s):
                     before = rest[:j - 1] + rest[j:] + (x + y,)
                     table.setdefault(tuple(sorted(before)), set()).add(
                         ((x + y,), (x, y), after))
-        moves.append(table)
+        tables.append(table)
+        yield table
         layer = set(table)
-    return moves
 
 
 def _levels_connected(s, edges) -> bool:

@@ -22,9 +22,8 @@ from tropica.elliptic_covers import (enumerate_elliptic_covers,
                                      simple_hurwitz_tropical)
 from tropica.feynman_series import (TruncatedSeries, mirror_check,
                                     refined_integral)
-from tropica.graph_complex import (GraphChain, basis, differential,
-                                   differential_matrix, homology_dimension,
-                                   wheel_class)
+from tropica.graph_complex import (basis, differential, differential_matrix,
+                                   homology_dimension, wheel_class)
 from tropica.graphs import Multigraph, canonical_key
 from tropica.line_covers import (double_hurwitz_tropical,
                                  enumerate_line_covers, multiplicity)
@@ -143,15 +142,14 @@ def test_criterion_6_graph_complex():
         for g in (2, 3, 4):
             for n in range(g + 1, 3 * g - 2):
                 for key in basis(g, n):
-                    chain = GraphChain({key: 1})
-                    assert differential(differential(chain)).is_zero()
-        assert wheel_class(4).is_zero()
+                    assert differential(differential({key: 1})) == {}
+        assert wheel_class(4) == {}
         three = wheel_class(3)
-        assert not three.is_zero()
-        assert differential(three).is_zero()
-        assert differential(wheel_class(5)).is_zero()
+        assert three != {}
+        assert differential(three) == {}
+        assert differential(wheel_class(5)) == {}
         assert homology_dimension(3, 6) == 1
-        assert list(three.terms) == basis(3, 6)
+        assert list(three) == basis(3, 6)
         domain, _, entries = differential_matrix(3, 7)
         assert domain == [] and entries == {}
 

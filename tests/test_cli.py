@@ -593,10 +593,16 @@ def test_argument_errors_exit_2(capsys):
                "--mu", "3", "--nu", "2,2")[0] == 2
     assert run(capsys, "double-hurwitz", "--genus", "1",
                "--mu", "x", "--nu", "3")[0] == 2
+    for extra in ((), ("--list-covers",)):  # the guards run first
+        assert run(capsys, "double-hurwitz", "--genus", "-1",
+                   "--mu", "1", "--nu", "1", *extra)[0] == 2
     assert run(capsys, "moduli", "--genus", "0", "--marks", "2")[0] == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+FORTY_ONES = ",".join(["1"] * 40)
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -611,6 +617,8 @@ def test_argument_errors_exit_2(capsys):
       "--list-covers"), 3),
     (("double-hurwitz", "--genus", "0", "--mu", ",".join(["1"] * 15),
       "--nu", ",".join(["1"] * 15)), 3),
+    (("double-hurwitz", "--genus", "0", "--mu", "40", "--nu", FORTY_ONES,
+      "--list-covers"), 3),
     (("chambers", "--lmu", "3", "--lnu", "3"), 3),
     (("elliptic", "--degree", "5", "--genus", "4"), 3),
     (("feynman", "--graph", "{tmp}/shape.txt", "--order", "1,2,3,4",
@@ -622,7 +630,8 @@ def test_argument_errors_exit_2(capsys):
     (("oracle", "line", "--genus", "0", "--mu", "20", "--nu", "20"), 3),
     (("oracle", "elliptic", "--degree", "35", "--genus", "2"), 3),
 ], ids=["missing-graph", "dump-matrix-dir", "cache-dir-under-file",
-        "double-hurwitz", "list-covers", "double-hurwitz-dp", "chambers",
+        "double-hurwitz", "list-covers", "double-hurwitz-dp",
+        "list-covers-table", "chambers",
         "elliptic", "feynman", "mirror-check", "graph-complex",
         "graph-complex-edges", "moduli", "oracle-line", "oracle-elliptic"])
 def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
@@ -635,9 +644,13 @@ def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "tropica.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=30)
+    elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stdout) == (expected, "")
+    if FORTY_ONES in argv:  # refused before the whole move table is built
+        assert elapsed < 5
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     if expected == 3:

@@ -1,14 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from helpers import fraction_rank, multigraph_basis
 from tropica.errors import ArgumentError
-from tropica.graph_complex import (GraphChain, OrderedGraphGenerator, _rank,
-                                   basis, differential, differential_matrix,
-                                   homology_dimension, normalize, wheel_class,
-                                   wheel_graph)
+from tropica.graph_complex import (_rank, basis, differential,
+                                   differential_matrix, homology_dimension,
+                                   normalize, wheel_class, wheel_graph)
 from tropica.graphs import (Multigraph, canonical_form, contract_edge,
                             parse_graph, serialize)
 
@@ -103,67 +103,49 @@ def test_normalize_rejects_bad_input():
                   tuple(range(6)))
 
 
-def test_ordered_generator_wrapper():
-    generator = OrderedGraphGenerator(K4, (1, 0, 2, 3, 4, 5))
-    assert generator.normal_form() == normalize(K4, (1, 0, 2, 3, 4, 5))
-
-
-def test_chain_algebra():
-    zero = GraphChain()
-    assert zero.is_zero()
-    a = GraphChain({"x": Fraction(1, 2), "y": 3})
-    b = GraphChain({"x": Fraction(-1, 2), "z": 1})
-    total = a + b
-    assert total == GraphChain({"y": 3, "z": 1})
-    assert a.scale(0).is_zero()
-    assert a.scale(2) == GraphChain({"x": 1, "y": 6})
-    assert GraphChain({"x": 0}).is_zero()
-    assert a + a.scale(-1) == zero
-
-
 def test_wheel_class_values():
-    assert wheel_class(2).is_zero()
+    assert wheel_class(2) == {}
     three = wheel_class(3)
-    assert list(three.terms.values()) in ([1], [-1])
-    assert list(three.terms) == basis(3, 6)
-    assert wheel_class(4).is_zero()
+    assert list(three.values()) in ([1], [-1])
+    assert list(three) == basis(3, 6)
+    assert wheel_class(4) == {}
     five = wheel_class(5)
-    assert len(five.terms) == 1
-    assert parse_graph(next(iter(five.terms))).num_edges == 10
+    assert len(five) == 1
+    assert parse_graph(next(iter(five))).num_edges == 10
     with pytest.raises(ArgumentError):
         wheel_class(1)
 
 
 def test_differential_of_odd_wheels_vanishes():
     # every contraction of a wheel creates a parallel pair
-    assert differential(wheel_class(3)).is_zero()
-    assert differential(wheel_class(5)).is_zero()
+    assert differential(wheel_class(3)) == {}
+    assert differential(wheel_class(5)) == {}
 
 
 def test_theta_differential_matches_hand_contraction():
     for index in range(3):
         contracted = contract_edge(THETA, index)
         assert any(u == v for u, v in contracted.edges)
-    chain = GraphChain({serialize(canonical_form(THETA)[0]): 1})
-    assert differential(chain).is_zero()
+    chain = {serialize(canonical_form(THETA)[0]): 1}
+    assert differential(chain) == {}
 
 
 def test_differential_rejects_mixed_degrees():
     k4_key, _ = normalize(K4, tuple(range(6)))
     theta_key = serialize(canonical_form(THETA)[0])
     with pytest.raises(ArgumentError):
-        differential(GraphChain({k4_key: 1, theta_key: 1}))
+        differential({k4_key: 1, theta_key: 1})
 
 
 def test_differential_is_linear():
     k4_key, _ = normalize(K4, tuple(range(6)))
     cat_key = serialize(canonical_form(CATERPILLAR)[0])
-    x = GraphChain({k4_key: 1})
-    y = GraphChain({cat_key: 1})
-    combo = x.scale(Fraction(2, 3)) + y.scale(-5)
-    assert (differential(combo)
-            == differential(x).scale(Fraction(2, 3))
-            + differential(y).scale(-5))
+    combo = {k4_key: Fraction(2, 3), cat_key: -5}
+    expected = Counter()
+    for key, coeff in combo.items():
+        for image_key, unit in differential({key: 1}).items():
+            expected[image_key] += coeff * unit
+    assert differential(combo) == {k: v for k, v in expected.items() if v}
 
 
 def test_basis_small_genus():
@@ -192,7 +174,7 @@ def test_simple_graph_basis_matches_all_multigraphs():
 
 
 def test_wheel_five_nonzero_in_homology():
-    key = next(iter(wheel_class(5).terms))
+    key = next(iter(wheel_class(5)))
     assert len(basis(5, 10)) == 2
     assert key in basis(5, 10)
     assert len(basis(5, 11)) == 1
@@ -239,9 +221,9 @@ def test_homology_dimensions():
 
 
 def test_wheel_three_nonzero_in_homology():
-    key = next(iter(wheel_class(3).terms))
+    key = next(iter(wheel_class(3)))
     assert basis(3, 6) == [key]
-    assert differential(wheel_class(3)).is_zero()
+    assert differential(wheel_class(3)) == {}
     domain, codomain, entries = differential_matrix(3, 7)
     assert domain == [] and codomain == [key] and entries == {}
     assert homology_dimension(3, 6) == 1
@@ -255,9 +237,9 @@ def test_differential_matrix_consistency():
             assert codomain == basis(g, n - 1)
             index = {key: r for r, key in enumerate(codomain)}
             for col, key in enumerate(domain):
-                image = differential(GraphChain({key: 1}))
+                image = differential({key: 1})
                 column = {(index[k], col): coeff
-                          for k, coeff in image.terms.items()}
+                          for k, coeff in image.items()}
                 assert {rc: v for rc, v in entries.items() if rc[1] == col} \
                     == column
 
@@ -266,17 +248,16 @@ def test_boundary_squared_vanishes():
     for g in (2, 3, 4):
         for n in range(g + 1, 3 * g - 2):
             for key in basis(g, n):
-                twice = differential(differential(GraphChain({key: 1})))
-                assert twice.is_zero()
+                assert differential(differential({key: 1})) == {}
     # keys of zero generators still contract consistently
     for graph in (THETA, CATERPILLAR, wheel_graph(4), wheel_graph(5)):
         key = serialize(canonical_form(graph)[0])
-        assert differential(differential(GraphChain({key: 1}))).is_zero()
+        assert differential(differential({key: 1})) == {}
     rng = random.Random(93)
     for _ in range(50):
         terms = {}
         for n in (6, 7):
             for key in basis(3, n):
                 terms[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        chain = GraphChain(terms)
-        assert differential(differential(chain)).is_zero()
+        chain = {key: coeff for key, coeff in terms.items() if coeff}
+        assert differential(differential(chain)) == {}

@@ -79,6 +79,14 @@ def test_line_covers_walk_stops_past_the_limit():
     assert guards.line_covers(17, (3,), (3,), force=True) == 2 ** 16
 
 
+def test_line_covers_build_stops_past_the_limit():
+    # (40) to 1^40 builds 39 tables, the last ones of thousands of keys;
+    # the build stops after 9 of them
+    with pytest.raises(SizeGuardError,
+                       match="is at least 67844 tried moves of work"):
+        guards.line_covers(0, (40,), (1,) * 40)
+
+
 def test_line_oracle_counts_sub_multisets_once_per_sum():
     parts = (3, 2, 1, 3, 2, 1, 1)
     chosen = {tuple(sorted(c)) for r in range(len(parts) + 1)

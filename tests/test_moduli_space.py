@@ -72,8 +72,8 @@ def test_types_are_stable_and_consistent():
             assert sorted(label for _, label in graph.legs) == list(
                 range(1, n + 1))
             assert graph.is_connected()
-            for v in range(graph.num_vertices):
-                assert vertex_stable(graph.genus[v], graph.valence(v))
+            for gv, valence in zip(graph.genus, graph.valences()):
+                assert vertex_stable(gv, valence)
             assert canonical_key(graph) == t.key
 
 
