@@ -1,9 +1,8 @@
 """Exact truncated series and Feynman integrals over a circle target.
 
-The engine works with series in two groups of variables: per-vertex
-variables x_j whose exponents are integers bounded in absolute value,
-and per-edge variables q_k whose exponents are nonnegative with
-bounded total degree.  Coefficients stay exact throughout.
+The engine works with exact series in two groups of variables:
+per-vertex variables x_j with any integer exponents, and per-edge
+variables q_k with nonnegative exponents of bounded total degree.
 
 An edge between vertices u and v contributes one factor: a q-degree-0
 geometric part sum_{w<=d} w*(x_lower/x_higher)^{2w} whose direction
@@ -36,50 +35,41 @@ def sigma(n) -> int:
 
 
 class TruncatedSeries:
-    """A finitely truncated series with exact coefficients.
+    """A series truncated in total q-degree, with exact coefficients.
 
-    Terms are keyed by (x_exponents, q_exponents); x-exponents may be
-    negative and are bounded by x_bound in absolute value, q-exponents
-    are nonnegative with total degree at most q_bound.  Zero
-    coefficients are never stored.  Arithmetic silently drops products
-    outside the bounds; constructing a series from explicit terms with
-    out-of-bound exponents is an error.
+    Terms are keyed by (x_exponents, q_exponents); x-exponents are any
+    integers, q-exponents are nonnegative with total degree at most
+    q_bound.  Zero coefficients are never stored.  Arithmetic silently
+    drops products past q_bound; explicit terms past it are an error.
+    x needs no bound: every edge factor moves an x-exponent by at most
+    2d, so a product of finitely many factors has finitely many terms.
     """
 
-    __slots__ = ("num_x", "num_q", "x_bound", "q_bound", "terms")
+    __slots__ = ("num_x", "num_q", "q_bound", "terms")
 
-    def __init__(self, num_x, num_q, x_bound, q_bound, terms=None):
+    def __init__(self, num_x, num_q, q_bound, terms=None):
         self.num_x = int(num_x)
         self.num_q = int(num_q)
-        self.x_bound = int(x_bound)
         self.q_bound = int(q_bound)
         if self.num_x < 0 or self.num_q < 0:
             raise ArgumentError("variable counts are nonnegative")
-        if self.x_bound < 0 or self.q_bound < 0:
-            raise ArgumentError("truncation bounds are nonnegative")
+        if self.q_bound < 0:
+            raise ArgumentError("q_bound is nonnegative")
         self.terms = {}
-        if terms:
-            for (x_exps, q_exps), coeff in terms.items():
-                key = (tuple(x_exps), tuple(q_exps))
-                self._check_key(*key)
-                if coeff:
-                    self.terms[key] = self.terms.get(key, 0) + coeff
-                    if not self.terms[key]:
-                        del self.terms[key]
-
-    def _check_key(self, x_exps, q_exps):
-        if len(x_exps) != self.num_x or len(q_exps) != self.num_q:
-            raise ArgumentError("exponent vector has the wrong length")
-        if not self._fits(x_exps, q_exps):
-            raise ArgumentError("exponents exceed the truncation bounds")
-
-    def _fits(self, x_exps, q_exps):
-        return (all(abs(e) <= self.x_bound for e in x_exps)
-                and all(e >= 0 for e in q_exps)
-                and sum(q_exps) <= self.q_bound)
+        for (x_exps, q_exps), coeff in (terms or {}).items():
+            x_exps, q_exps = tuple(x_exps), tuple(q_exps)
+            if len(x_exps) != self.num_x or len(q_exps) != self.num_q:
+                raise ArgumentError("exponent vector has the wrong length")
+            if min(q_exps, default=0) < 0 or sum(q_exps) > self.q_bound:
+                raise ArgumentError("exponents exceed the truncation bound")
+            if coeff:
+                key = (x_exps, q_exps)
+                self.terms[key] = self.terms.get(key, 0) + coeff
+                if not self.terms[key]:
+                    del self.terms[key]
 
     def shape(self):
-        return (self.num_x, self.num_q, self.x_bound, self.q_bound)
+        return (self.num_x, self.num_q, self.q_bound)
 
     def _same_shape(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -88,13 +78,8 @@ class TruncatedSeries:
             raise ArgumentError("series shapes differ")
 
     @classmethod
-    def zero(cls, num_x, num_q, x_bound, q_bound) -> "TruncatedSeries":
-        return cls(num_x, num_q, x_bound, q_bound)
-
-    @classmethod
-    def constant(cls, value, num_x, num_q, x_bound,
-                 q_bound) -> "TruncatedSeries":
-        series = cls(num_x, num_q, x_bound, q_bound)
+    def constant(cls, value, num_x, num_q, q_bound) -> "TruncatedSeries":
+        series = cls(num_x, num_q, q_bound)
         if value:
             series.terms[((0,) * series.num_x, (0,) * series.num_q)] = value
         return series
@@ -115,13 +100,12 @@ class TruncatedSeries:
         return self + other.scale(-1)
 
     def __mul__(self, other) -> "TruncatedSeries":
-        """The product within the bounds: other's terms are sorted by
+        """The product within q_bound: other's terms are sorted by
         q-degree, so a term of degree k meets those of degree <= q_bound - k.
         """
         self._same_shape(other)
         out = TruncatedSeries(*self.shape())
         acc = out.terms
-        x_bound = self.x_bound
         ordered = sorted(((sum(bq), bx, bq, bc)
                           for (bx, bq), bc in other.terms.items()),
                          key=operator.itemgetter(0))
@@ -129,10 +113,8 @@ class TruncatedSeries:
         for (ax, aq), ac in self.terms.items():
             stop = bisect.bisect_right(degrees, self.q_bound - sum(aq))
             for _, bx, bq, bc in ordered[:stop]:
-                x_exps = tuple(map(operator.add, ax, bx))
-                if any(abs(e) > x_bound for e in x_exps):
-                    continue
-                key = (x_exps, tuple(map(operator.add, aq, bq)))
+                key = (tuple(map(operator.add, ax, bx)),
+                       tuple(map(operator.add, aq, bq)))
                 total = acc.get(key, 0) + ac * bc
                 if total:
                     acc[key] = total
@@ -155,7 +137,7 @@ class TruncatedSeries:
 
     def x_constant_part(self) -> "TruncatedSeries":
         """The all-x-degree-0 slice, as a series in the q variables."""
-        out = TruncatedSeries(0, self.num_q, 0, self.q_bound)
+        out = TruncatedSeries(0, self.num_q, self.q_bound)
         zero = (0,) * self.num_x
         for (x_exps, q_exps), coeff in self.terms.items():
             if x_exps == zero:
@@ -177,8 +159,7 @@ class TruncatedSeries:
 
     def __repr__(self):
         return (f"TruncatedSeries(num_x={self.num_x}, num_q={self.num_q}, "
-                f"x_bound={self.x_bound}, q_bound={self.q_bound}, "
-                f"terms={len(self.terms)})")
+                f"q_bound={self.q_bound}, terms={len(self.terms)})")
 
 
 def eisenstein_E2(q_bound) -> TruncatedSeries:
@@ -186,7 +167,7 @@ def eisenstein_E2(q_bound) -> TruncatedSeries:
     bound = int(q_bound)
     if bound < 0:
         raise ArgumentError("q_bound is nonnegative")
-    series = TruncatedSeries.constant(1, 0, 1, 0, bound)
+    series = TruncatedSeries.constant(1, 0, 1, bound)
     for d in range(1, bound + 1):
         series.terms[((), (d,))] = -24 * sigma(d)
     return series
@@ -204,8 +185,7 @@ def propagator_factor(k1, k2, lower, q_var, d, num_x,
     for w = 1..d, where lower names the endpoint that comes first in
     the vertex order.  The q^{2a} part, for a = 1..d, sums
     w*((x_k1/x_k2)^{2w} + (x_k2/x_k1)^{2w}) over divisors w of a.
-    The series is truncated at |x| <= 6d and q <= 2d, which every term
-    meets: |x| = 2w <= 2d and q = 2a <= 2d.
+    The series is truncated at q <= 2d, which every term meets.
     """
     if k1 == k2:
         raise ArgumentError("an edge factor needs two distinct vertices")
@@ -217,7 +197,7 @@ def propagator_factor(k1, k2, lower, q_var, d, num_x,
         raise ArgumentError("edge variable index out of range")
     if d < 0:
         raise ArgumentError("truncation degree is nonnegative")
-    series = TruncatedSeries(num_x, num_q, 6 * d, 2 * d)
+    series = TruncatedSeries(num_x, num_q, 2 * d)
     higher = k2 if lower == k1 else k1
 
     def key(source, target, w, q_exp):
@@ -255,7 +235,7 @@ def _integral(shape: FeynmanGraph, order, d, coarse) -> TruncatedSeries:
     if d < 0:
         raise ArgumentError("truncation degree is nonnegative")
     slots = slot_of(order)
-    acc = TruncatedSeries.constant(1, num_x, num_q, 6 * d, 2 * d)
+    acc = TruncatedSeries.constant(1, num_x, num_q, 2 * d)
     # reach[x]: how far the factors still to come can move x's exponent
     reach = [2 * d * sum(e.count(x) for e in edges) for x in range(num_x)]
     # an edge is multiplied in at its endpoint that comes first in order
@@ -315,10 +295,10 @@ def mirror_check(genus, d_max):
         raise ArgumentError("genus must be 2 or 3")
     if not 1 <= dm <= 6:
         raise ArgumentError("d_max must be between 1 and 6")
-    total = TruncatedSeries.zero(0, 1, 0, 2 * dm)
+    total = TruncatedSeries(0, 1, 2 * dm)
     for shape in enumerate_feynman_graphs(g):
         aut = automorphism_group_order(shape.graph)
-        per_shape = TruncatedSeries.zero(0, 1, 0, 2 * dm)
+        per_shape = TruncatedSeries(0, 1, 2 * dm)
         for rep, orbit in order_orbits(shape.graph).items():
             per_shape = per_shape + coarse_integral(shape, rep,
                                                     dm).scale(len(orbit))

@@ -2,15 +2,16 @@
 
 Each CLI command calls its guard before any engine runs; past its limit
 a guard raises SizeGuardError unless forced (--force).  Each estimate is
-a closed form that accepts any ints, in its own unit with its own limit.
+in its own unit with its own limit, and every guard accepts any ints.
+Most are closed forms; the two line guards walk the cover sweep's move
+tables and stop once past the limit.
 """
 
-import itertools
 import math
 from collections import Counter
 
 from .errors import SizeGuardError
-from .line_covers import _moves, _tables
+from .line_covers import _moves, _table, _tables
 
 LIMITS = {
     "line_oracle": 4_000_000,  # steps; (0, (19,), (19,)) is 3,601,011
@@ -70,27 +71,33 @@ def line_covers(genus, mu, nu, force=False):
     """The weight paths from mu to nu through the cover sweep's moves; as
     every kept state reaches nu, a walk past the limit stops ("at least").
     The sweep first builds the moves, a table per level from the weights
-    of the one before, trying each merge and split of each; the build
-    stops once the moves it has tried pass the limit ("at least")."""
+    of the one before, trying each merge and split of each; each layer is
+    priced before its table is built, and the build stops once the moves
+    it has tried pass the limit ("at least")."""
     s, bound = 2 * genus - 2 + len(mu) + len(nu), "about"
     job = f"listing {s}-level covers of degree {sum(mu)}"
-    tried, layer = 0, [tuple(sorted(nu))]
-    for table in itertools.islice(_tables(nu), max(s, 0)):
+    tried, layer, last, moves = 0, [tuple(sorted(nu))], s < 1, []
+    tables = _tables(nu, s)
+    while not last:
         tried += sum(math.comb(len(w), 2) + sum(c // 2 for c in w)
                      for w in layer)
-        if tried > LIMITS["line_covers"]:
-            _check("line_covers", tried, job, "tried moves", force,
-                   bound="at least")
-            break  # forced
-        layer = table
-    paths = Counter({tuple(sorted(mu)): 1})
-    for table in reversed(_moves(nu, s)):
+        _check("line_covers", tried, job, "tried moves", force,
+               bound="at least")
+        layer, last = next(tables)
+        moves.append(layer)
+    k, paths = s, Counter({tuple(sorted(mu)): 1})
+    one_back = two_back = None
+    while k > 0 and paths:  # paths holds the paths from mu to level k
         if sum(paths.values()) > LIMITS["line_covers"] and not force:
             bound = "at least"
             break
+        # where the tables repeat in twos, paths that repeat too stay put
+        if k >= len(moves) + 2 and paths == two_back:
+            k = len(moves) + (k - len(moves)) % 2
+        two_back, one_back, k = one_back, paths, k - 1
         reached = Counter()
         for weights, count in paths.items():
-            for _, _, after in table.get(weights, ()):
+            for _, _, after in _table(moves, k).get(weights, ()):
                 reached[after] += count
         paths = reached
     return _check("line_covers", sum(paths.values()), job, "weight paths",
@@ -103,11 +110,14 @@ def line_dp(genus, mu, nu, force=False):
     strands group into ends and components (0.14 to 1.5 events per unit
     measured over 32 profiles); a walk past the limit stops ("at least")."""
     s, bound = 2 * genus - 2 + len(mu) + len(nu), "about"
-    work, held = 0, {tuple(sorted(mu))}
-    for table in reversed(_moves(nu, s)):
+    work, held, moves = 0, {tuple(sorted(mu))}, _moves(nu, s)
+    for k in reversed(range(s)):
         if work > LIMITS["line_dp"] and not force:
             bound = "at least"
             break
+        if not held:
+            break
+        table = _table(moves, k)
         work += sum(len(table.get(w, ())) << len(w) for w in held)
         held = {after for w in held for _, _, after in table.get(w, ())}
     return _check("line_dp", work, f"summing {s}-level covers of degree "

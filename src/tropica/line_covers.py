@@ -29,7 +29,6 @@ triple, so callers that revisit a partition through a permuted tuple
 """
 
 import functools
-import itertools
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -135,7 +134,8 @@ def iter_line_covers(genus, mu, nu):
         by_weight = {}
         for strand in dict.fromkeys(opens):  # distinct, still in order
             by_weight.setdefault(strand[1], []).append(strand)
-        for taken, made, after in moves[s - level].get(weights, ()):
+        table = _table(moves, s - level)
+        for taken, made, after in table.get(weights, ()):
             for picked in _picks(taken, by_weight, opens):
                 pool = list(opens)
                 next_lefts, next_edges = lefts, edges
@@ -183,26 +183,34 @@ def _picks(taken, by_weight, opens):
 
 
 def _moves(nu_parts, s):
-    """moves[k]: sorted weight tuples that reach nu in exactly k + 1
-    levels, each mapped to its moves (taken, made, after) into a tuple
-    `after` that reaches nu in exactly k.
+    """The tables that _tables builds for s levels: read level k's as
+    _table(moves, k).  Table k maps each sorted weight tuple that reaches
+    nu in exactly k + 1 levels to its moves (taken, made, after) into a
+    tuple `after` that reaches nu in exactly k.
 
     A level merges two weights (taken a <= b, made a + b) or splits one
     (taken w, made x <= w - x).  Undoing either move is a move of the
     other kind, so each layer comes from the one before by running the
     moves forward.  Every key is a partition of the degree.
     """
-    moves = list(itertools.islice(_tables(nu_parts), max(s, 0)))
-    return (moves + moves[-2:] * (s // 2))[:s]
+    return [table for table, _ in _tables(nu_parts, s)]
 
 
-def _tables(nu_parts):
-    """The tables of _moves in order, built one at a time.  A table
-    depends only on its layer, so once a layer equals the one two before
-    it the tables repeat in twos, and the generator stops."""
+def _table(moves, k):
+    """Level k's table: past the tables built they repeat in twos."""
+    n = len(moves)
+    return moves[k] if k < n else moves[n - 2 + (k - n) % 2]
+
+
+def _tables(nu_parts, s):
+    """The tables of _moves in order, built one at a time, each with a
+    flag that is true on the last.  A table depends only on its layer, so
+    once a layer equals the one two before it the tables repeat in twos
+    and no more are built; nor are more than s."""
     layer = {tuple(sorted(nu_parts))}
     tables = []
-    while len(tables) < 3 or layer != tables[-3].keys():
+    last = s < 1
+    while not last:
         table = {}
         for after in layer:
             for i, c in enumerate(after):
@@ -216,8 +224,10 @@ def _tables(nu_parts):
                     table.setdefault(tuple(sorted(before)), set()).add(
                         ((x + y,), (x, y), after))
         tables.append(table)
-        yield table
         layer = set(table)
+        last = len(tables) == s or (len(tables) >= 3
+                                    and layer == tables[-3].keys())
+        yield table, last
 
 
 def _levels_connected(s, edges) -> bool:
@@ -350,8 +360,11 @@ def double_hurwitz_tropical(genus, mu, nu) -> Fraction:
 @functools.lru_cache(maxsize=4096)
 def _dp_total(genus, mu_parts, nu_parts, s) -> Fraction:
     values = {(tuple(sorted(mu_parts)), ()): 1}
-    for table in reversed(_moves(nu_parts, s)):
-        nxt = {}
+    moves = _moves(nu_parts, s)
+    for k in reversed(range(s)):
+        if not values:
+            break
+        table, nxt = _table(moves, k), {}
         for state, v in values.items():
             for new_state, ways, factor in _dp_events(state, table):
                 nxt[new_state] = nxt.get(new_state, 0) + v * ways * factor

@@ -30,10 +30,6 @@ from .graphs import (Multigraph, automorphisms, canonical_form,
                      serialize)
 from .util import compositions_of, partitions_of
 
-def vertex_stable(genus: int, valence: int) -> bool:
-    return 2 * genus - 2 + valence > 0
-
-
 class CombinatorialType(namedtuple("CombinatorialType", "graph")):
     """A stable combinatorial type, stored as a canonical graph.
 

@@ -759,15 +759,14 @@ def validate_line_cover(cover: LineCover):
 def naive_series_terms_product(a, b):
     """The terms of the truncated product a * b, pairing every two terms.
 
-    A pair is kept when its q-exponents total at most q_bound and every
-    x-exponent is at most x_bound in absolute value; zero sums are
-    dropped.  Reads only the bounds and term dicts of the two series.
+    A pair is kept when its q-exponents total at most q_bound; zero sums
+    are dropped.  Reads only the bound and term dicts of the two series.
     """
     out = {}
     for (ax, aq), ac in a.terms.items():
         for (bx, bq), bc in b.terms.items():
             x = tuple(i + j for i, j in zip(ax, bx))
             q = tuple(i + j for i, j in zip(aq, bq))
-            if sum(q) <= a.q_bound and all(abs(e) <= a.x_bound for e in x):
+            if sum(q) <= a.q_bound:
                 out[x, q] = out.get((x, q), 0) + ac * bc
     return {key: coeff for key, coeff in out.items() if coeff}

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import resource
 import shlex
 import shutil
 import subprocess
@@ -603,6 +604,7 @@ def test_argument_errors_exit_2(capsys):
 
 
 FORTY_ONES = ",".join(["1"] * 40)
+BIG = str(10 ** 21)
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -619,6 +621,13 @@ FORTY_ONES = ",".join(["1"] * 40)
       "--nu", ",".join(["1"] * 15)), 3),
     (("double-hurwitz", "--genus", "0", "--mu", "40", "--nu", FORTY_ONES,
       "--list-covers"), 3),
+    (("double-hurwitz", "--genus", "1", "--mu", "5000", "--nu", "5000",
+      "--list-covers"), 3),
+    (("double-hurwitz", "--genus", BIG, "--mu", "3", "--nu", "3",
+      "--list-covers"), 3),
+    (("double-hurwitz", "--genus", BIG, "--mu", "2", "--nu", "2",
+      "--list-covers"), 3),
+    (("double-hurwitz", "--genus", "-" + BIG, "--mu", "3", "--nu", "3"), 2),
     (("chambers", "--lmu", "3", "--lnu", "3"), 3),
     (("elliptic", "--degree", "5", "--genus", "4"), 3),
     (("feynman", "--graph", "{tmp}/shape.txt", "--order", "1,2,3,4",
@@ -631,12 +640,14 @@ FORTY_ONES = ",".join(["1"] * 40)
     (("oracle", "elliptic", "--degree", "35", "--genus", "2"), 3),
 ], ids=["missing-graph", "dump-matrix-dir", "cache-dir-under-file",
         "double-hurwitz", "list-covers", "double-hurwitz-dp",
-        "list-covers-table", "chambers",
+        "list-covers-table", "list-covers-one-part", "list-covers-genus",
+        "list-covers-degree-two", "double-hurwitz-negative-genus", "chambers",
         "elliptic", "feynman", "mirror-check", "graph-complex",
         "graph-complex-edges", "moduli", "oracle-line", "oracle-elliptic"])
 def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
-    # in a subprocess with a timeout, so that a missing guard fails the
-    # case instead of hanging the suite
+    # in a subprocess with a timeout and 1 GiB of address space, so that a
+    # missing guard fails the case instead of hanging the suite or taking
+    # the machine's memory
     (tmp_path / "plain").write_text("", encoding="utf-8")
     shape = elliptic_covers.enumerate_feynman_graphs(3)[0]
     (tmp_path / "shape.txt").write_text(serialize(shape.graph),
@@ -646,16 +657,26 @@ def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "tropica.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=30)
+                          env=env, capture_output=True, text=True, timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (1 << 30, 1 << 30)))
     elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stdout) == (expected, "")
-    if FORTY_ONES in argv:  # refused before the whole move table is built
+    if FORTY_ONES in argv or "5000" in argv:  # priced before it is built
         assert elapsed < 5
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     if expected == 3:
         assert proc.stderr.startswith("error: size guard: ")
         assert proc.stderr.endswith("; pass --force to run anyway\n")
+
+
+def test_degree_one_at_any_genus_has_no_cover(capsys):
+    # every move table is empty, so the walks stop at the first level
+    start = time.perf_counter()
+    assert run(capsys, "double-hurwitz", "--genus", BIG, "--mu", "1",
+               "--nu", "1", "--list-covers") == (0, "0\n", "")
+    assert time.perf_counter() - start < 5
 
 
 def test_size_guard_and_force(capsys):

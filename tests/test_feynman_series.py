@@ -49,56 +49,52 @@ def test_eisenstein_series():
 
 
 def test_series_construction_and_bounds():
-    s = TruncatedSeries(1, 1, 4, 2, {((2,), (1,)): 5, ((0,), (0,)): 1})
+    s = TruncatedSeries(1, 1, 2, {((2,), (1,)): 5, ((0,), (0,)): 1})
     assert s.coefficient(x_exps=(2,), q_exps=(1,)) == 5
     with pytest.raises(ArgumentError):
-        TruncatedSeries(1, 1, 4, 2, {((5,), (0,)): 1})  # x out of bounds
+        TruncatedSeries(1, 1, 2, {((0,), (3,)): 1})  # q out of bounds
     with pytest.raises(ArgumentError):
-        TruncatedSeries(1, 1, 4, 2, {((0,), (3,)): 1})  # q out of bounds
-    with pytest.raises(ArgumentError):
-        TruncatedSeries(1, 1, 4, 2, {((0,), (-1,)): 1})
+        TruncatedSeries(1, 1, 2, {((0,), (-1,)): 1})
     with pytest.raises(ArgumentError):
         s.coefficient(x_exps=(), q_exps=(1,))
     # zero coefficients are dropped, also when terms cancel
-    t = TruncatedSeries(0, 1, 0, 3, {((), (1,)): 7})
+    t = TruncatedSeries(0, 1, 3, {((), (1,)): 7})
     assert (t - t).terms == {}
 
 
 def test_series_arithmetic_properties():
     rng = random.Random(1402)
 
-    def sample(step):
-        s = TruncatedSeries(2, 1, 6, 4)
+    def sample():
+        s = TruncatedSeries(2, 1, 4)
         for _ in range(rng.randrange(1, 6)):
-            x = (step * rng.randrange(-1, 2), step * rng.randrange(-1, 2))
+            x = (4 * rng.randrange(-1, 2), 4 * rng.randrange(-1, 2))
             q = (rng.randrange(2),)
             c = rng.randrange(-5, 6)
-            s = s + TruncatedSeries(2, 1, 6, 4, {(x, q): c})
+            s = s + TruncatedSeries(2, 1, 4, {(x, q): c})
         return s
 
     for _ in range(25):
-        # commutativity and distributivity survive truncation
-        a, b, c = sample(4), sample(4), sample(4)
+        # the ring laws survive truncation in q
+        a, b, c = sample(), sample(), sample()
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a.scale(3) == a + a + a
-        # associativity needs every intermediate product within bounds
-        a, b, c = sample(2), sample(2), sample(2)
-        assert (a * b) * c == a * (b * c)
 
 
 def test_product_matches_pairwise_product():
-    # negative x-exponents, terms exactly at q_bound, x sums past x_bound
-    # and cancelling coefficients, on several seeded shapes
+    # negative x-exponents, terms exactly at q_bound and cancelling
+    # coefficients, on several seeded shapes
     rng = random.Random(8107)
-    for num_x, num_q, x_bound, q_bound in ((2, 2, 4, 3), (1, 3, 2, 4),
+    for num_x, num_q, x_range, q_bound in ((2, 2, 4, 3), (1, 3, 2, 4),
                                            (3, 1, 3, 2), (0, 2, 0, 3)):
         def sample():
             terms = {}
             for i in range(rng.randrange(1, 25)):
-                x = tuple(rng.randint(-x_bound, x_bound)
+                x = tuple(rng.randint(-x_range, x_range)
                           for _ in range(num_x))
                 q = [0] * num_q
                 # the first term sits exactly at q_bound
@@ -107,7 +103,7 @@ def test_product_matches_pairwise_product():
                     q[rng.randrange(num_q)] += 1
                 terms[x, tuple(q)] = rng.choice(
                     (rng.randint(1, 3), Fraction(rng.randint(-3, 3), 2)))
-            return TruncatedSeries(num_x, num_q, x_bound, q_bound, terms)
+            return TruncatedSeries(num_x, num_q, q_bound, terms)
 
         for _ in range(40):
             a, b = sample(), sample()
@@ -120,7 +116,7 @@ def _unpruned_integral(shape, order, d, coarse):
     edges = shape.graph.edges
     num_x, num_q = shape.num_vertices, 1 if coarse else len(edges)
     slots = slot_of(order)
-    acc = TruncatedSeries.constant(1, num_x, num_q, 6 * d, 2 * d)
+    acc = TruncatedSeries.constant(1, num_x, num_q, 2 * d)
     for k, (u, v) in enumerate(edges):
         lower = u if slots[u] < slots[v] else v
         acc = acc * propagator_factor(u, v, lower, 0 if coarse else k, d,
@@ -140,8 +136,8 @@ def test_pruned_integrals_match_the_plain_product():
 
 
 def test_series_shape_mismatch():
-    a = TruncatedSeries(1, 1, 2, 2)
-    b = TruncatedSeries(1, 1, 2, 4)
+    a = TruncatedSeries(1, 1, 2)
+    b = TruncatedSeries(1, 1, 4)
     with pytest.raises(ArgumentError):
         a + b
     with pytest.raises(ArgumentError):
@@ -234,7 +230,7 @@ def test_coarse_integral_is_the_collapsed_refined_integral():
                                                   d).terms.items():
                     collapsed[x, (sum(q),)] += c
                 coarse = coarse_integral(shape, order, d)
-                assert coarse.shape() == (0, 1, 0, 2 * d)
+                assert coarse.shape() == (0, 1, 2 * d)
                 assert coarse.terms == collapsed
 
 
@@ -272,9 +268,9 @@ def test_mirror_check_matches_every_order():
     # one coarse integral per Aut-orbit, times the orbit size, against
     # the sum over every vertex order
     for genus, d_max in ((2, 6), (3, 4)):
-        total = TruncatedSeries.zero(0, 1, 0, 2 * d_max)
+        total = TruncatedSeries(0, 1, 2 * d_max)
         for shape in enumerate_feynman_graphs(genus):
-            per_shape = TruncatedSeries.zero(0, 1, 0, 2 * d_max)
+            per_shape = TruncatedSeries(0, 1, 2 * d_max)
             for order in itertools.permutations(range(shape.num_vertices)):
                 per_shape = per_shape + coarse_integral(shape, order, d_max)
             total = total + per_shape.scale(

@@ -85,6 +85,44 @@ def test_line_covers_build_stops_past_the_limit():
     with pytest.raises(SizeGuardError,
                        match="is at least 67844 tried moves of work"):
         guards.line_covers(0, (40,), (1,) * 40)
+    # the layer after the last table is compared, never expanded, so it is
+    # not priced: the walk refuses this one
+    with pytest.raises(SizeGuardError, match="is at least 77192 weight"):
+        guards.line_covers(3, (9, 9), (12, 1, 1, 1, 1, 1, 1))
+
+
+BIG = 10 ** 21
+
+
+def test_line_covers_walk_skips_the_levels_that_repeat():
+    # degree 2 has one weight path at any genus: where the tables repeat
+    # in twos and the paths do too, the walk jumps to the last levels
+    assert guards.line_covers(BIG, (2,), (2,)) == 1
+    assert guards.line_covers(BIG, (2,), (1, 1)) == 1
+    assert guards.line_covers(BIG, (1, 1), (1, 1)) == 1
+
+
+# every integer the CLI passes on from its arguments, but the parts of a
+# profile (the line guards' other routes refuse a large part first) and
+# feynman's edge count, which comes from a parsed graph
+@pytest.mark.parametrize("guard, args", [
+    (guards.line_oracle, (BIG, (3,), (2, 1))),
+    (guards.line_covers, (BIG, (3,), (2, 1))),
+    (guards.line_dp, (BIG, (3,), (2, 1))),
+    (guards.elliptic, (BIG, 2)), (guards.elliptic, (3, BIG)),
+    (guards.elliptic_oracle, (BIG, 2)), (guards.elliptic_oracle, (3, BIG)),
+    (guards.chambers, (BIG, 2)), (guards.chambers, (2, BIG)),
+    (guards.feynman, (3, BIG)),
+    (guards.moduli, (BIG, 2)), (guards.moduli, (1, BIG)),
+    (guards.graph_complex, (BIG,)),
+])
+@pytest.mark.parametrize("sign", (1, -1))
+def test_every_guard_takes_any_int(guard, args, sign):
+    args = tuple(sign * a if a == BIG else a for a in args)
+    try:
+        assert isinstance(guard(*args), int)
+    except SizeGuardError:
+        pass
 
 
 def test_line_oracle_counts_sub_multisets_once_per_sum():

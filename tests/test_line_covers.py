@@ -10,7 +10,7 @@ import pytest
 from helpers import line_cover_multigraph, validate_line_cover
 from tropica import line_covers
 from tropica.errors import ArgumentError, DegenerateInputError
-from tropica.line_covers import (LineCover, _dp_total, _moves,
+from tropica.line_covers import (LineCover, _dp_total, _moves, _table,
                                  double_hurwitz_tropical,
                                  enumerate_line_covers, iter_line_covers,
                                  multiplicity)
@@ -284,6 +284,18 @@ def test_move_table():
         assert all(after in moves[k - 1] for table in moves[k].values()
                    for _, _, after in table)
     assert all(sum(weights) == 4 for table in moves for weights in table)
+
+
+def test_level_tables_repeat_in_twos():
+    # each level's table, against the list of one entry per level that the
+    # built tables were once expanded to
+    for d in range(1, 9):
+        for nu in partitions_of(d):
+            for s in range(25):
+                moves = _moves(nu, s)
+                assert len(moves) <= s
+                assert [_table(moves, k) for k in range(s)] == \
+                    (moves + moves[-2:] * (s // 2))[:s]
 
 
 def test_input_validation():

@@ -8,7 +8,7 @@ from tropica.errors import ArgumentError, SizeGuardError
 from tropica.graphs import Multigraph, canonical_key
 from tropica.moduli_space import (CombinatorialType, build_poset,
                                   enumerate_types, folding_flags, is_folded,
-                                  max_dimension, vertex_stable)
+                                  max_dimension)
 
 
 def dims(types):
@@ -73,7 +73,7 @@ def test_types_are_stable_and_consistent():
                 range(1, n + 1))
             assert graph.is_connected()
             for gv, valence in zip(graph.genus, graph.valences()):
-                assert vertex_stable(gv, valence)
+                assert 2 * gv - 2 + valence > 0
             assert canonical_key(graph) == t.key
 
 
