@@ -17,7 +17,7 @@ def main():
     print(f"combinatorial types for genus {GENUS} with {LEGS} marked "
           f"points ({len(types)} total):")
     for i, t in enumerate(poset.types):
-        fold = "  [folded]" if poset.folded[i] else ""
+        fold = "  [folded]" if t.folded else ""
         line = serialize(t.graph).strip().replace("\n", " / ")
         print(f"  {i}: dim {t.dimension}  {line}{fold}")
     print()

@@ -111,7 +111,7 @@ def _slice_points(lmu, lnu, bound):
                 yield mu, head + (last,)
 
 
-def chamber_decomposition(lmu: int, lnu: int, bounding_box: int | None = None):
+def chamber_decomposition(lmu: int, lnu: int):
     """All chambers realized by integer points of the bounding box.
 
     Every sign vector with an interior integer point in the box appears
@@ -119,11 +119,7 @@ def chamber_decomposition(lmu: int, lnu: int, bounding_box: int | None = None):
     Witnesses prefer points with pairwise distinct mu and nu entries.
     """
     wall_forms = walls(lmu, lnu)
-    if bounding_box is None:
-        bounding_box = 2 * max(int(lmu), int(lnu))
-    bound = int(bounding_box)
-    if bound < 1:
-        raise ArgumentError("bounding box must be positive")
+    bound = 2 * max(int(lmu), int(lnu))
     witnesses = {}
     for mu, nu in _slice_points(int(lmu), int(lnu), bound):
         values = [w.evaluate(mu, nu) for w in wall_forms]

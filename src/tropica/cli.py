@@ -29,8 +29,7 @@ from .graph_complex import basis, differential_matrix, homology_dimension
 from .graphs import parse_graph, serialize
 from .line_covers import (double_hurwitz_tropical, iter_line_covers,
                           multiplicity)
-from .moduli_space import (build_poset, enumerate_types, folding_flags,
-                           max_dimension)
+from .moduli_space import build_poset, enumerate_types, max_dimension
 from .sym_oracle import hurwitz_elliptic, hurwitz_line
 from .util import as_partition, frac_str
 
@@ -224,7 +223,6 @@ def _run_moduli(args):
     types = enumerate_types(args.genus, args.marks)
     top = max_dimension(args.genus, args.marks, types)
     poset = build_poset(types) if args.poset else None
-    folded = poset.folded if poset else folding_flags(types)
     payload = {
         "genus": args.genus,
         "marks": args.marks,
@@ -233,8 +231,8 @@ def _run_moduli(args):
         "types": [{
             "graph": t.key,
             "dimension": t.dimension,
-            "folded": flag,
-        } for t, flag in zip(types, folded)],
+            "folded": t.folded,
+        } for t in types],
     }
     if poset:
         payload["covers"] = list(poset.covers)  # pairs encode as arrays

@@ -178,7 +178,7 @@ def parse_graph(text: str) -> Multigraph:
         n, m, k = int(head[1]), int(head[3]), int(head[5])
     except ValueError as exc:
         raise ArgumentError(f"bad header counts: {lines[0]!r}") from exc
-    edges, legs, genus = [], [], [0] * max(n, 1)
+    edges, legs, genera = [], [], {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -195,14 +195,17 @@ def parse_graph(text: str) -> Multigraph:
         elif tag == "g":
             if not 0 <= a < n:
                 raise ArgumentError(f"genus line vertex out of range: {ln!r}")
-            if genus[a] != 0:
+            if genera.get(a, 0) != 0:
                 raise ArgumentError(f"duplicate genus line for vertex {a}")
-            genus[a] = b
+            genera[a] = b
         else:
             raise ArgumentError(f"unknown line tag: {ln!r}")
     if len(edges) != m or len(legs) != k:
         raise ArgumentError("edge or leg count does not match header")
-    return Multigraph(n, edges, legs, genus)
+    if n > max(1, 2 * m + k):  # past one vertex, each needs a half-edge
+        raise ArgumentError(f"{n} vertices but {2 * m + k} half-edges: "
+                            "some vertex is isolated")
+    return Multigraph(n, edges, legs, [genera.get(v, 0) for v in range(n)])
 
 
 # -- canonical form and automorphisms ------------------------------------

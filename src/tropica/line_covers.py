@@ -125,40 +125,51 @@ def iter_line_covers(genus, mu, nu):
     two paths reach the same state and no dedup is needed; levels pin
     the vertices, so distinct final states are distinct classes.  A
     level only makes the moves whose open weights can still reach nu in
-    exactly the levels left (see _moves).
+    exactly the levels left (see _moves).  The walk keeps its levels on a
+    list, not the call stack, so it goes as deep as there are levels.
     """
     genus, mu, nu, s = _setup(genus, mu, nu)
     moves = _moves(nu, s)
 
-    def sweep(level, opens, weights, lefts, edges):
+    def moved(level, opens, weights, lefts):
+        # (open strands, their weights, left ends, edges added) after
+        # each move of the level
         by_weight = {}
         for strand in dict.fromkeys(opens):  # distinct, still in order
             by_weight.setdefault(strand[1], []).append(strand)
-        table = _table(moves, s - level)
-        for taken, made, after in table.get(weights, ()):
+        for taken, made, after in _table(moves, s - level).get(weights, ()):
             for picked in _picks(taken, by_weight, opens):
-                pool = list(opens)
-                next_lefts, next_edges = lefts, edges
+                pool, next_lefts, added = list(opens), lefts, ()
                 for origin, w in picked:
                     pool.remove((origin, w))
                     if origin:
-                        next_edges += ((origin, level, w),)
+                        added += ((origin, level, w),)
                     else:
                         next_lefts += ((level, w),)
-                pool = tuple(sorted(pool + [(level, w) for w in made]))
-                if level < s:
-                    yield from sweep(level + 1, pool, after, next_lefts,
-                                     next_edges)
-                # pool is sorted by origin, so an unused left end would
-                # come first; lefts needs no sort, since levels append in
-                # order and a merge takes the lighter strand first
-                elif pool[0][0] and _levels_connected(s, next_edges):
-                    yield LineCover(genus, mu, nu, s,
-                                    next_lefts, tuple(sorted(next_edges)),
-                                    pool)
+                yield (tuple(sorted(pool + [(level, w) for w in made])),
+                       after, next_lefts, added)
 
-    yield from sweep(1, tuple(sorted((0, m) for m in mu)),
-                     tuple(sorted(mu)), (), ())
+    # a level entered holds its moves and the edge count before it; one
+    # list holds the edges of the state walked to
+    stack, edges = [(moved(1, tuple(sorted((0, m) for m in mu)),
+                           tuple(sorted(mu)), ()), 0)], []
+    while stack:
+        states, height = stack[-1]
+        level = len(stack)
+        for pool, after, lefts, added in states:
+            edges[height:] = added
+            if level < s:
+                stack.append((moved(level + 1, pool, after, lefts),
+                              len(edges)))
+                break
+            # pool is sorted by origin, so an unused left end would come
+            # first; lefts needs no sort, since levels append in order and
+            # a merge takes the lighter strand first
+            if pool[0][0] and _levels_connected(s, edges):
+                yield LineCover(genus, mu, nu, s, lefts,
+                                tuple(sorted(edges)), pool)
+        else:  # every move of this level is walked
+            stack.pop()
 
 
 def _picks(taken, by_weight, opens):

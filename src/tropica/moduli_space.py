@@ -13,16 +13,16 @@ leg's unique label pins its vertex under every automorphism, so legs
 added to one class give isomorphic graphs exactly when their vertices
 share an orbit of its automorphisms, and different classes never meet:
 each label goes on the least vertex of each orbit, and the automorphisms
-narrow to its stabiliser.  So too a type is its canonical skeleton S
-with a leg map (the vertex of each leg, by label) up to Aut(S).  The
-poset keys it by S and the least image of that map, contracts each
-distinct (S, edge) once, and reads the type's automorphisms off the
-stabiliser of the map.
+narrow to its stabiliser.  So the leg map built (the vertex of each
+leg, by label) is the least of its orbit under Aut(S), for S the
+canonical skeleton.  Enumeration records S and that map with each type,
+and whether the stabiliser folds S; the poset keys each type by the
+two, contracts each distinct (S, edge) once, and labels only the
+contractions.
 """
 
 from collections import namedtuple
-from functools import cache, cached_property
-from itertools import compress
+from functools import cache
 
 from .errors import ArgumentError, CrossCheckError
 from .graphs import (Multigraph, automorphisms, canonical_form,
@@ -30,30 +30,27 @@ from .graphs import (Multigraph, automorphisms, canonical_form,
                      serialize)
 from .util import compositions_of, partitions_of
 
-class CombinatorialType(namedtuple("CombinatorialType", "graph")):
+
+class CombinatorialType(namedtuple("CombinatorialType",
+                                   "graph key skeleton leg_map folded")):
     """A stable combinatorial type, stored as a canonical graph.
 
-    No __slots__: cached_property writes key to __dict__ directly."""
+    key serialises graph; skeleton is its canonical leg-free graph S and
+    leg_map the vertex of S of each leg by label, the least image under
+    Aut(S).  folded marks a type whose automorphisms permute the bounded
+    edges nontrivially, so its orthant is glued to itself.
+    """
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: types are immutable")
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
         return self.graph.num_edges
 
-    @cached_property
-    def key(self) -> str:
-        return serialize(self.graph)
 
-
-class ConePoset(namedtuple("ConePoset", "types covers folded")):
-    """Face poset of a tropical moduli cone complex.
-
-    covers lists (lower, upper) index pairs with dimensions differing
-    by one; folded marks types whose automorphisms permute the bounded
-    edges nontrivially, so the orthant is glued to itself.
-    """
+class ConePoset(namedtuple("ConePoset", "types covers")):
+    """Face poset of a tropical moduli cone complex: covers lists
+    (lower, upper) index pairs with dimensions differing by one."""
 
     __slots__ = ()
 
@@ -73,7 +70,7 @@ def enumerate_types(genus, num_legs):
         for num_vertices in range(max(1, num_edges + 1 - g),
                                   num_edges + 2):
             seeds = _genus_decorated_skeletons(g, n, num_edges, num_vertices)
-            found += map(CombinatorialType, _attach_legs(seeds, n))
+            found += _attach_legs(seeds, n)
     return sorted(found, key=lambda t: (t.dimension, t.key))
 
 
@@ -119,29 +116,35 @@ def _least_deficit(valences, budget) -> int:
 
 
 def _attach_legs(seeds, num_legs):
-    """The stable types from legs 1..n on the seeds, one per iso class;
-    a class missing more half-edges than legs remain is pruned."""
+    """Records of the stable types from legs 1..n on the seeds, one per
+    iso class; a class missing more half-edges than legs remain is pruned."""
     current = [(graph, [max(0, 3 - 2 * h - k) for h, k
                         in zip(graph.genus, graph.valences())])
                for graph in seeds]
-    current = [(graph, lack, automorphisms(graph) if num_legs else ())
+    current = [(graph, (), lack, automorphisms(graph) if num_legs else ())
                for graph, lack in current if sum(lack) <= num_legs]
     for label in range(1, num_legs + 1):
         nxt = []
-        for graph, lack, auts in current:
+        for graph, legs, lack, auts in current:
             for v in range(graph.num_vertices):
                 if (sum(lack) - (lack[v] > 0) > num_legs - label
                         or any(a[v] < v for a in auts)):
                     continue
-                # a new label on a leg-free or all-labeled graph stays valid
-                nxt.append((Multigraph._trusted(
-                    graph.num_vertices, graph.edges,
-                    graph.legs + ((v, label),), graph.genus),
-                    lack[:v] + [max(0, lack[v] - 1)] + lack[v + 1:],
-                    [a for a in auts if a[v] == v]))
+                nxt.append((graph, legs + (v,),
+                            lack[:v] + [max(0, lack[v] - 1)] + lack[v + 1:],
+                            [a for a in auts if a[v] == v]))
         current = nxt
-    return [canonical_form(graph)[0] if num_legs else graph
-            for graph, _, _ in current]
+    for skeleton, legs, _, auts in current:
+        # labels 1..n on vertices of the skeleton make a valid graph
+        graph = canonical_form(Multigraph._trusted(
+            skeleton.num_vertices, skeleton.edges,
+            tuple(zip(legs, range(1, num_legs + 1))),
+            skeleton.genus))[0] if num_legs else skeleton
+        # with no legs, Aut(S) is found only if S has no parallel pair
+        folded = _folds(skeleton, lambda: auts if num_legs
+                        else automorphisms(skeleton))
+        yield CombinatorialType(graph, serialize(graph), skeleton, legs,
+                                folded)
 
 
 def is_folded(graph: Multigraph) -> bool:
@@ -160,39 +163,13 @@ def _folds(graph, find_perms) -> bool:
         for perm in find_perms() for u, v in graph.edges)
 
 
-def folding_flags(types) -> tuple:
-    """is_folded of each type: a parallel pair folds, and the other types
-    are read off the automorphisms of their skeletons."""
-    types = tuple(types)
-    simple = [len(set(t.graph.edges)) == len(t.graph.edges) for t in types]
-    maps = _skeleton_maps(compress(types, simple), cache(automorphisms))
-    return tuple(next(maps)[2] if s else True for s in simple)
-
-
-def _skeleton_maps(types, aut):
-    """(skeleton, legs, folded) per type: its canonical leg-free skeleton,
-    the skeleton vertex of each leg by label, and whether the stabiliser
-    of those vertices in aut(skeleton) folds the skeleton.  The
-    automorphisms of a skeleton are found only if needed."""
-    canon = cache(canonical_form)
-    for t in types:
-        g = t.graph
-        bare = Multigraph._trusted(g.num_vertices, g.edges, (), g.genus)
-        skeleton, perm = canon(bare) if g.legs else (g, range(g.num_vertices))
-        legs = tuple(perm[v] for _, v in sorted((k, v) for v, k in g.legs))
-        yield skeleton, legs, _folds(skeleton, lambda: (
-            a for a in aut(skeleton) if all(a[x] == x for x in legs)))
-
-
 def build_poset(types) -> ConePoset:
-    """Cover relations by single-edge contraction, plus folding flags."""
+    """Cover relations by single-edge contraction."""
     types, index, covers = tuple(types), {}, set()
     aut = cache(automorphisms)
-    maps = list(_skeleton_maps(types, aut))
-    for i, (skeleton, legs, _) in enumerate(maps):
-        index.setdefault(skeleton, {})[
-            _least(aut(skeleton) if legs else (), legs)] = i
-    # any leg map of a type's orbit, such as its key, gives its covers
+    for i, t in enumerate(types):
+        index.setdefault(t.skeleton, {})[t.leg_map] = i
+    # any leg map of a type's orbit gives its covers
     for skeleton, members in index.items():
         for u, v in set(skeleton.edges):
             contract = contract_loop if u == v else contract_edge
@@ -208,8 +185,7 @@ def build_poset(types) -> ConePoset:
                 if found is None:
                     raise ArgumentError("contraction left the given type list")
                 covers.add((found, upper))
-    return ConePoset(types, tuple(sorted(covers)),
-                     tuple(flag for _, _, flag in maps))
+    return ConePoset(types, tuple(sorted(covers)))
 
 
 def _least(auts, legs):

@@ -4,7 +4,8 @@ Everything here favors transparency over speed: brute-force dart and
 vertex permutations, colour refinement and the full product behind
 canonical labelling, stub matchings, labelled legs put on leg-free
 classes, the graph-complex basis from every multigraph, exact ranks by
-Fraction elimination, moduli types built without pruning and their
+Fraction elimination, moduli types built without pruning, their
+skeletons and leg maps found by relabelling each type, and their
 contraction poset rebuilt through the validated constructor,
 direct permutation-tuple counts, the commutator loop over S_d, a
 product over per-edge choices of elliptic edge data, the local vertex
@@ -22,9 +23,11 @@ from tropica.elliptic_covers import (EllipticCover, _assignments,
                                      _checked_size, trivalent_classes)
 from tropica.errors import ArgumentError
 from tropica.graph_complex import normalize
-from tropica.graphs import (Multigraph, _signature, canonical_form,
-                            canonical_key, enumerate_graphs, serialize)
+from tropica.graphs import (Multigraph, _signature, automorphisms,
+                            canonical_form, canonical_key, enumerate_graphs,
+                            serialize)
 from tropica.line_covers import LineCover
+from tropica.moduli_space import CombinatorialType, _folds
 from tropica.util import slot_of
 from tropica.sym_oracle import _all_types, _class_rep, _class_size, _walks
 
@@ -378,6 +381,24 @@ def naive_poset(types):
             tuple(sorted((perm[a], perm[b]))) != (a, b)
             for perm in brute_force_automorphisms(g) for a, b in edges))
     return keys, sorted(covers), folded
+
+
+def reference_type(graph: Multigraph) -> CombinatorialType:
+    """The record of a type graph, derived afresh from the graph alone.
+
+    The skeleton is the canonical form of the leg-free graph, the leg map
+    the least image under its automorphisms of the vertices the legs sit
+    on (by label), and the type is folded when the stabiliser of that map
+    folds the skeleton.
+    """
+    bare = Multigraph(graph.num_vertices, graph.edges, (), graph.genus)
+    skeleton, perm = canonical_form(bare)
+    legs = [perm[v] for v, _ in sorted(graph.legs, key=lambda leg: leg[1])]
+    auts = automorphisms(skeleton)
+    leg_map = min(tuple(a[x] for x in legs) for a in auts)
+    fixed = [a for a in auts if all(a[x] == x for x in leg_map)]
+    return CombinatorialType(graph, canonical_key(graph), skeleton, leg_map,
+                             _folds(skeleton, lambda: fixed))
 
 
 # -- symmetric group brute force ------------------------------------------

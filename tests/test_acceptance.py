@@ -160,8 +160,8 @@ def test_criterion_7_moduli_counts():
         types_12 = enumerate_types(1, 2)
         assert len(types_12) == 5
         poset = build_poset(types_12)
-        folded_maximal = [t for t, flag in zip(poset.types, poset.folded)
-                          if flag and t.dimension == 2]
+        folded_maximal = [t for t in poset.types
+                          if t.folded and t.dimension == 2]
         assert len(folded_maximal) == 1
         types_20 = enumerate_types(2, 0)
         assert sum(1 for t in types_20 if t.dimension == 3) == 2

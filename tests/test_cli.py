@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import itertools
 import json
@@ -381,8 +382,8 @@ def test_moduli_folds_each_type_once(capsys, monkeypatch, poset):
     assert code == 0
     types = json.loads(out)["result"]["types"]
     assert len(types) == 23
-    # with or without the poset, the flags come from the skeleton
-    # automorphisms and agree with is_folded on each type
+    # with or without the poset, the flags come from enumeration, which
+    # reads them off the stabilisers it holds, and agree with is_folded
     assert calls == []
     assert [t["folded"] for t in types] == [
         folded(parse_graph(t["graph"])) for t in types]
@@ -610,6 +611,8 @@ BIG = str(10 ** 21)
 @pytest.mark.parametrize("argv, expected", [
     (("feynman", "--graph", "{tmp}/nope.txt", "--order", "1,2",
       "--dmax", "2"), 2),
+    (("feynman", "--graph", "{tmp}/huge.txt", "--order", "1,2",
+      "--dmax", "2"), 2),
     (("graph-complex", "--genus", "3", "--edges", "6",
       "--dump-matrix", "{tmp}/missing/x.txt"), 2),
     (("moduli", "--genus", "0", "--marks", "4",
@@ -638,17 +641,20 @@ BIG = str(10 ** 21)
     (("moduli", "--genus", "0", "--marks", "9"), 3),
     (("oracle", "line", "--genus", "0", "--mu", "20", "--nu", "20"), 3),
     (("oracle", "elliptic", "--degree", "35", "--genus", "2"), 3),
-], ids=["missing-graph", "dump-matrix-dir", "cache-dir-under-file",
-        "double-hurwitz", "list-covers", "double-hurwitz-dp",
-        "list-covers-table", "list-covers-one-part", "list-covers-genus",
-        "list-covers-degree-two", "double-hurwitz-negative-genus", "chambers",
-        "elliptic", "feynman", "mirror-check", "graph-complex",
-        "graph-complex-edges", "moduli", "oracle-line", "oracle-elliptic"])
+], ids=["missing-graph", "huge-vertex-count", "dump-matrix-dir",
+        "cache-dir-under-file", "double-hurwitz", "list-covers",
+        "double-hurwitz-dp", "list-covers-table", "list-covers-one-part",
+        "list-covers-genus", "list-covers-degree-two",
+        "double-hurwitz-negative-genus", "chambers", "elliptic", "feynman",
+        "mirror-check", "graph-complex", "graph-complex-edges", "moduli",
+        "oracle-line", "oracle-elliptic"])
 def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
     # in a subprocess with a timeout and 1 GiB of address space, so that a
     # missing guard fails the case instead of hanging the suite or taking
     # the machine's memory
     (tmp_path / "plain").write_text("", encoding="utf-8")
+    (tmp_path / "huge.txt").write_text("V 99999999999 E 0 L 0\n",
+                                       encoding="utf-8")
     shape = elliptic_covers.enumerate_feynman_graphs(3)[0]
     (tmp_path / "shape.txt").write_text(serialize(shape.graph),
                                         encoding="utf-8")
@@ -677,6 +683,18 @@ def test_degree_one_at_any_genus_has_no_cover(capsys):
     assert run(capsys, "double-hurwitz", "--genus", BIG, "--mu", "1",
                "--nu", "1", "--list-covers") == (0, "0\n", "")
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("genus", ["600", "5000"])
+def test_list_covers_walks_any_number_of_levels(capsys, genus):
+    # degree 2 has one weight path at any genus; the walk keeps its levels
+    # on a list, so a sweep of 10^4 levels is not cut by the recursion limit
+    argv = ("double-hurwitz", "--genus", genus, "--mu", "2", "--nu", "2")
+    assert run(capsys, *argv) == (0, "1/2\n", "")
+    code, out, err = run(capsys, *argv, "--list-covers")
+    assert (code, err) == (0, "")
+    cover, total = out.splitlines()
+    assert cover.startswith("mult=1/2 ") and total == "1/2"
 
 
 def test_size_guard_and_force(capsys):
@@ -736,3 +754,18 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == "2\n"
+
+
+def test_console_script_target_runs(capsys, monkeypatch):
+    # the installed script calls the [project.scripts] target with no
+    # arguments, so a broken entry-point string fails here without an install
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["tropica"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["tropica", "double-hurwitz", "--genus",
+                                      "1", "--mu", "3", "--nu", "3"])
+    assert entry() == 0
+    assert capsys.readouterr().out == "2\n"

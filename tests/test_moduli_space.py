@@ -2,12 +2,11 @@ from collections import Counter
 
 import pytest
 
-from helpers import naive_poset, unpruned_type_keys
+from helpers import naive_poset, reference_type, unpruned_type_keys
 from tropica import graphs, guards
 from tropica.errors import ArgumentError, SizeGuardError
-from tropica.graphs import Multigraph, canonical_key
-from tropica.moduli_space import (CombinatorialType, build_poset,
-                                  enumerate_types, folding_flags, is_folded,
+from tropica.graphs import Multigraph, canonical_form, canonical_key
+from tropica.moduli_space import (build_poset, enumerate_types, is_folded,
                                   max_dimension)
 
 
@@ -116,19 +115,16 @@ def test_unstable_pairs_rejected():
 
 
 def test_folding_flags():
-    poset = build_poset(enumerate_types(1, 2))
-    folded = [t for t, flag in zip(poset.types, poset.folded) if flag]
+    folded = [t for t in enumerate_types(1, 2) if t.folded]
     assert len(folded) == 1
     assert folded[0].dimension == 2
     assert folded[0].graph.multiplicities()[(0, 1)] == 2
     # genus 0 cones with labeled legs never fold
-    poset = build_poset(enumerate_types(0, 5))
-    assert not any(poset.folded)
+    assert not any(t.folded for t in enumerate_types(0, 5))
 
 
 def test_genus_two_folding():
-    poset = build_poset(enumerate_types(2, 0))
-    by_key = {t.key: flag for t, flag in zip(poset.types, poset.folded)}
+    by_key = {t.key: t.folded for t in enumerate_types(2, 0)}
     theta = canonical_key(Multigraph(2, [(0, 1)] * 3))
     dumbbell = canonical_key(Multigraph(2, [(0, 0), (0, 1), (1, 1)]))
     bridge = canonical_key(Multigraph(2, [(0, 1)], genus=[1, 1]))
@@ -176,9 +172,15 @@ def test_poset_matches_an_independent_route(g, n):
     keys, covers, folded = naive_poset(poset.types)
     assert keys == [t.key for t in poset.types]
     assert covers == list(poset.covers)
-    assert folded == list(poset.folded)
-    # the flags without the poset, as `moduli` without --poset prints them
-    assert folding_flags(iter(poset.types)) == poset.folded
+    assert folded == [t.folded for t in poset.types]
+
+
+# (4, 0) folds by whole automorphism groups of its skeletons; in (1, 4)
+# and (3, 1) the legs cut those groups down to stabilisers
+@pytest.mark.parametrize("g, n", [(0, 6), (1, 4), (2, 2), (3, 1), (4, 0)])
+def test_types_record_their_skeleton_leg_map_and_folding(g, n):
+    for t in enumerate_types(g, n):
+        assert t == reference_type(t.graph)
 
 
 @pytest.mark.parametrize("g, n", [(1, 3), (3, 0)])
@@ -199,15 +201,19 @@ def test_types_and_poset_label_once_per_type(monkeypatch):
 
     monkeypatch.setattr(graphs, "_search", counted)
     types = enumerate_types(1, 5)
+    enumerated = len(calls)
     build_poset(types)
-    searches = len(calls)
-    skeletons = {canonical_key(Multigraph(t.graph.num_vertices, t.graph.edges,
-                                          genus=t.graph.genus))
-                 for t in types}
+    skeletons = {t.skeleton for t in types}
     assert (len(types), len(skeletons)) == (1576, 35)
     # one search per finished type, a few per skeleton; labelling every
     # extension and contraction took about 10,800
-    assert searches <= len(types) + 20 * len(skeletons)
+    assert enumerated <= len(types) + 20 * len(skeletons)
+    # the poset labels each distinct (skeleton, edge) contraction and finds
+    # the automorphisms of each skeleton below one; relabelling every type
+    # to find its skeleton again took 375
+    contractions = sum(len(set(s.edges)) for s in skeletons)
+    lower = sum(1 for s in skeletons if s.num_edges < types[-1].dimension)
+    assert len(calls) - enumerated <= contractions + lower == 142
 
 
 def test_max_dimension_values():
@@ -220,6 +226,9 @@ def test_max_dimension_values():
 
 def test_type_wrapper_fields():
     graph = Multigraph(1, [], [(0, 1), (0, 2), (0, 3)])
-    t = CombinatorialType(graph)
+    (t,) = enumerate_types(0, 3)
+    assert t.graph == canonical_form(graph)[0]
     assert t.dimension == 0
     assert t.key == canonical_key(graph)
+    assert (t.skeleton, t.leg_map, t.folded) == (Multigraph(1), (0, 0, 0),
+                                                 False)

@@ -32,8 +32,11 @@ RECORDS = [
     (CoverMultiplicity, {"weight_product": 1, "forks": 1, "wieners": 0,
                          "value": Fraction(1, 2)}),
     (CombinatorialType, {"graph": Multigraph(1, legs=[(0, 1), (0, 2),
-                                                       (0, 3)])}),
-    (ConePoset, {"types": (), "covers": ((0, 1),), "folded": (False,)}),
+                                                       (0, 3)]),
+                         "key": "V 1 E 0 L 3\nl 0 1\nl 0 2\nl 0 3\n",
+                         "skeleton": Multigraph(1), "leg_map": (0, 0, 0),
+                         "folded": False}),
+    (ConePoset, {"types": (), "covers": ((0, 1),)}),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 
@@ -86,14 +89,6 @@ def test_every_public_value_class_is_a_record():
                if isinstance(getattr(tropica, name), type)
                and not issubclass(getattr(tropica, name), TropicaError)}
     assert classes - kept == set(IDS)
-
-
-def test_combinatorial_type_caches_its_key():
-    t = CombinatorialType(Multigraph(1, legs=[(0, 1), (0, 2), (0, 3)]))
-    assert "key" not in vars(t)
-    key = t.key
-    assert vars(t) == {"key": key}
-    assert t.key is key
 
 
 @pytest.mark.parametrize("graph, message", [
