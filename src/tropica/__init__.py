@@ -28,7 +28,7 @@ from .moduli_space import (CombinatorialType, ConePoset, build_poset,
                            enumerate_types, is_folded, max_dimension)
 from .sym_oracle import hurwitz_elliptic, hurwitz_line
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ArgumentError", "Chamber", "ChamberPolynomial", "CombinatorialType",

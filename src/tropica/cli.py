@@ -31,7 +31,7 @@ from .line_covers import (double_hurwitz_tropical, iter_line_covers,
                           multiplicity)
 from .moduli_space import build_poset, enumerate_types, max_dimension
 from .sym_oracle import hurwitz_elliptic, hurwitz_line
-from .util import as_partition, frac_str
+from .util import as_partition, exact_digits, frac_str
 
 SCHEMA_VERSION = "tropica/1"
 
@@ -67,8 +67,8 @@ def _run_double_hurwitz(args):
     if oracle is not None:
         if oracle != total:
             raise CrossCheckError(
-                f"the level sweep gives {total} but the S_d monodromy "
-                f"count gives {oracle}")
+                f"the level sweep gives {frac_str(total)} but the S_d "
+                f"monodromy count gives {frac_str(oracle)}")
         return payload
     # the covers stream past one at a time: only their rows are kept
     rows, numerators, labels = [], {}, {}
@@ -91,7 +91,7 @@ def _run_double_hurwitz(args):
     if total != total_from_covers:
         raise CrossCheckError(
             "cover enumeration and the level sweep disagree: "
-            f"{total_from_covers} vs {total}")
+            f"{frac_str(total_from_covers)} vs {frac_str(total)}")
     payload["covers"] = rows
     return payload
 
@@ -406,8 +406,10 @@ def _with_cache(args, compute):
     payload = compute()
     scratch = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(scratch, "w", encoding="utf-8") as handle:
-            # in payload order, which the oracle's CSV columns follow
+        with open(scratch, "w", encoding="utf-8") as handle, exact_digits():
+            # in payload order, which the oracle's CSV columns follow; an
+            # int past CPython's digit limit cannot be read back, so such
+            # an entry is a miss and is computed again
             json.dump(payload, handle)
         os.replace(scratch, path)
     except OSError as exc:
@@ -551,7 +553,8 @@ def main(argv=None) -> int:
         if args.command == "graph-complex" and args.dump_matrix:
             _write_matrix_file(args, payload)
         try:
-            _write(args, payload, sys.stdout)
+            with exact_digits():  # every argument is parsed by now
+                _write(args, payload, sys.stdout)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader left early (`| head`): point stdout at devnull so

@@ -14,7 +14,7 @@ rank is the rank over the rationals.
 """
 
 from .errors import ArgumentError
-from .graphs import (Multigraph, automorphisms, canonical_form, contract_edge,
+from .graphs import (Multigraph, canonical_form, contract_edge,
                      enumerate_graphs, parse_graph, serialize)
 from .util import cycle_type, partitions_of, reduce_row
 
@@ -45,11 +45,11 @@ def normalize(graph: Multigraph, edge_order):
     if sorted(order) != list(range(n)):
         raise ArgumentError("edge order must list every edge exactly once")
 
-    canonical, relabel = canonical_form(graph)
+    canonical, relabel, auts = canonical_form(graph)
     key = serialize(canonical)
     if any(m >= 2 for m in canonical.multiplicities().values()):
         return key, 0
-    for perm in automorphisms(canonical):
+    for perm in auts:
         induced = [canonical.edges.index(
             tuple(sorted((perm[u], perm[v]))))
             for u, v in canonical.edges]

@@ -12,7 +12,8 @@ Everything is exact integer combinatorics.
 
 Canonical labelling is one depth-first branch-and-bound search, _search,
 over the relabelings that keep the refined vertex color classes in
-order; canonical_form and automorphisms both read their answer off it.
+order; canonical_form and automorphisms both read their answer off it,
+so the canonical form comes with its automorphisms at no further search.
 """
 
 from collections import namedtuple
@@ -378,15 +379,22 @@ def _search(g: Multigraph):
 
 
 def canonical_form(g: Multigraph):
-    """Canonical representative and a relabeling that reaches it.
+    """Canonical representative, a relabeling that reaches it, and the
+    representative's automorphisms.
 
-    Returns (canonical_graph, perm) with perm[old] = new such that
+    Returns (canonical_graph, perm, auts) with perm[old] = new such that
     g.relabeled(perm) equals canonical_graph up to edge and leg order;
     the canonical graph stores edges and legs sorted.  Two graphs are
-    isomorphic exactly when their canonical graphs are equal.
+    isomorphic exactly when their canonical graphs are equal.  auts
+    lists the vertex permutations of canonical_graph that preserve its
+    edges, legs and genus, as automorphisms(canonical_graph) would, but
+    read off the same search: each tie p gives p o perm^-1.
     """
     (n, genus, edges, legs), ties = _search(g)
-    return Multigraph._trusted(n, edges, legs, genus), ties[0]
+    best = ties[0]
+    back = slot_of(best)
+    auts = [tuple(p[x] for x in back) for p in ties]
+    return Multigraph._trusted(n, edges, legs, genus), best, auts
 
 
 def canonical_key(g: Multigraph) -> str:

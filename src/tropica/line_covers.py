@@ -193,11 +193,16 @@ def _picks(taken, by_weight, opens):
             yield x, y
 
 
+# A few entries serve one run: its guard, cover sweep and DP share one
+# build.  Chamber interpolation asks for a new nu at each point, so the
+# bound keeps it from holding every table it built.
+@functools.lru_cache(maxsize=8)
 def _moves(nu_parts, s):
     """The tables that _tables builds for s levels: read level k's as
     _table(moves, k).  Table k maps each sorted weight tuple that reaches
     nu in exactly k + 1 levels to its moves (taken, made, after) into a
-    tuple `after` that reaches nu in exactly k.
+    tuple `after` that reaches nu in exactly k.  Memoised per (nu_parts,
+    s); callers read the tables and never change them.
 
     A level merges two weights (taken a <= b, made a + b) or splits one
     (taken w, made x <= w - x).  Undoing either move is a move of the

@@ -8,21 +8,24 @@ edges; contracting edges one at a time walks down the face poset of
 the cone complex.  Contracting a loop removes it and raises the genus
 of its vertex, so the total genus is constant along the poset.
 
-Only finished types and leg-free skeletons get canonical labels.  A
-leg's unique label pins its vertex under every automorphism, so legs
-added to one class give isomorphic graphs exactly when their vertices
-share an orbit of its automorphisms, and different classes never meet:
-each label goes on the least vertex of each orbit, and the automorphisms
-narrow to its stabiliser.  So the leg map built (the vertex of each
-leg, by label) is the least of its orbit under Aut(S), for S the
-canonical skeleton.  Enumeration records S and that map with each type,
-and whether the stabiliser folds S; the poset keys each type by the
-two, contracts each distinct (S, edge) once, and labels only the
-contractions.
+Only leg-free skeletons get canonical labels, and each labelling also
+gives the skeleton's automorphisms.  A leg's unique label pins its
+vertex under every automorphism, so legs added to one class give
+isomorphic graphs exactly when their vertices share an orbit of its
+automorphisms, and different classes never meet: each label goes on the
+least vertex of each orbit, and the automorphisms narrow to its
+stabiliser.  So the leg map built (the vertex of each leg, by label) is
+the least of its orbit under Aut(S), for S the canonical skeleton, and
+the pair (S, leg map) is a complete invariant of the type.  A type's
+graph is S with each leg on its vertex of the map, legs sorted, and its
+key serialises that graph: it is built, not searched for, so it is not
+canonical_key of the graph, but equal keys still mean isomorphic types.
+Enumeration records S and the map with each type, and whether the
+stabiliser folds S; the poset keys each type by the two, contracts each
+distinct (S, edge) once, and labels only the contractions.
 """
 
 from collections import namedtuple
-from functools import cache
 
 from .errors import ArgumentError, CrossCheckError
 from .graphs import (Multigraph, automorphisms, canonical_form,
@@ -33,12 +36,14 @@ from .util import compositions_of, partitions_of
 
 class CombinatorialType(namedtuple("CombinatorialType",
                                    "graph key skeleton leg_map folded")):
-    """A stable combinatorial type, stored as a canonical graph.
+    """A stable combinatorial type, stored on its canonical skeleton.
 
-    key serialises graph; skeleton is its canonical leg-free graph S and
-    leg_map the vertex of S of each leg by label, the least image under
-    Aut(S).  folded marks a type whose automorphisms permute the bounded
-    edges nontrivially, so its orthant is glued to itself.
+    skeleton is the canonical leg-free graph S and leg_map the vertex of
+    S of each leg by label, the least image under Aut(S).  graph is S
+    with leg i on leg_map[i - 1], legs sorted, and key serialises it;
+    equal keys mean isomorphic types.  folded marks a type whose
+    automorphisms permute the bounded edges nontrivially, so its orthant
+    is glued to itself.
     """
 
     __slots__ = ()
@@ -58,7 +63,7 @@ class ConePoset(namedtuple("ConePoset", "types covers")):
 def enumerate_types(genus, num_legs):
     """All stable combinatorial types for (g, n), one per iso class.
 
-    Sorted by dimension, then canonical key.
+    Sorted by dimension, then key.
     """
     g, n = int(genus), int(num_legs)
     if g < 0 or n < 0:
@@ -75,12 +80,13 @@ def enumerate_types(genus, num_legs):
 
 
 def _genus_decorated_skeletons(g, num_legs, num_edges, num_vertices):
-    """Leg-free genus-g candidates with the given edge and vertex counts.
+    """Leg-free genus-g candidates with the given edge and vertex counts,
+    each canonical graph mapped to its automorphisms.
 
     Only valence sequences that num_legs legs can still make stable are
     searched; see _least_deficit.
     """
-    seeds = set()
+    seeds = {}
     total = 2 * num_edges
     # every connected skeleton here has the same first Betti number
     budget = g - (num_edges - num_vertices + 1)
@@ -98,8 +104,9 @@ def _genus_decorated_skeletons(g, num_legs, num_edges, num_vertices):
         for skeleton in enumerate_graphs(num_vertices, valences,
                                          allow_loops=True):
             for assign in compositions_of(budget, num_vertices):
-                seeds.add(canonical_form(Multigraph(
-                    num_vertices, skeleton.edges, (), assign))[0])
+                seed, _, auts = canonical_form(Multigraph(
+                    num_vertices, skeleton.edges, (), assign))
+                seeds[seed] = auts
     return seeds
 
 
@@ -116,13 +123,15 @@ def _least_deficit(valences, budget) -> int:
 
 
 def _attach_legs(seeds, num_legs):
-    """Records of the stable types from legs 1..n on the seeds, one per
-    iso class; a class missing more half-edges than legs remain is pruned."""
-    current = [(graph, [max(0, 3 - 2 * h - k) for h, k
-                        in zip(graph.genus, graph.valences())])
-               for graph in seeds]
-    current = [(graph, (), lack, automorphisms(graph) if num_legs else ())
-               for graph, lack in current if sum(lack) <= num_legs]
+    """Records of the stable types from legs 1..n on the seeds (canonical
+    graphs mapped to their automorphisms), one per iso class; a class
+    missing more half-edges than legs remain is pruned."""
+    current = []
+    for graph, auts in seeds.items():
+        lack = [max(0, 3 - 2 * h - k)
+                for h, k in zip(graph.genus, graph.valences())]
+        if sum(lack) <= num_legs:
+            current.append((graph, (), lack, auts))
     for label in range(1, num_legs + 1):
         nxt = []
         for graph, legs, lack, auts in current:
@@ -136,15 +145,12 @@ def _attach_legs(seeds, num_legs):
         current = nxt
     for skeleton, legs, _, auts in current:
         # labels 1..n on vertices of the skeleton make a valid graph
-        graph = canonical_form(Multigraph._trusted(
+        graph = Multigraph._trusted(
             skeleton.num_vertices, skeleton.edges,
-            tuple(zip(legs, range(1, num_legs + 1))),
-            skeleton.genus))[0] if num_legs else skeleton
-        # with no legs, Aut(S) is found only if S has no parallel pair
-        folded = _folds(skeleton, lambda: auts if num_legs
-                        else automorphisms(skeleton))
+            tuple(sorted(zip(legs, range(1, num_legs + 1)))),
+            skeleton.genus)
         yield CombinatorialType(graph, serialize(graph), skeleton, legs,
-                                folded)
+                                _folds(skeleton, lambda: auts))
 
 
 def is_folded(graph: Multigraph) -> bool:
@@ -166,20 +172,18 @@ def _folds(graph, find_perms) -> bool:
 def build_poset(types) -> ConePoset:
     """Cover relations by single-edge contraction."""
     types, index, covers = tuple(types), {}, set()
-    aut = cache(automorphisms)
     for i, t in enumerate(types):
         index.setdefault(t.skeleton, {})[t.leg_map] = i
     # any leg map of a type's orbit gives its covers
     for skeleton, members in index.items():
         for u, v in set(skeleton.edges):
             contract = contract_loop if u == v else contract_edge
-            lower, perm = canonical_form(
+            lower, perm, auts = canonical_form(
                 contract(skeleton, skeleton.edges.index((u, v))))
             # v merges into u and later vertices shift down by one
             moved = [perm[u if x == v else x - (u < v < x)]
                      for x in range(skeleton.num_vertices)]
             below = index.get(lower, {})
-            auts = aut(lower) if any(members) else ()
             for legs, upper in members.items():
                 found = below.get(_least(auts, [moved[x] for x in legs]))
                 if found is None:

@@ -1,20 +1,40 @@
-"""Small shared helpers: exact rational formatting, integer partitions,
-compositions, vertex slots, cycle types, fraction-free row reduction,
-and linear extension counts of small posets.
+"""Small shared helpers: exact rational formatting in full, integer
+partitions, compositions, vertex slots, cycle types, fraction-free row
+reduction, and linear extension counts of small posets.
 """
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 
 from .errors import ArgumentError
 
 
+@contextlib.contextmanager
+def exact_digits():
+    """Lift CPython's limit on int to decimal text (4,300 digits) for the
+    block, so that exact counts print in full.  Outside the block the
+    limit stays, and it keeps parsing a huge number in the input fast.
+    The limit is one per interpreter, so threads must not overlap blocks."""
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if before is None:  # a Python without the limit
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def frac_str(value) -> str:
-    """Render an exact rational as 'p' or 'p/q' in lowest terms."""
+    """Render an exact rational as 'p' or 'p/q' in lowest terms, in full."""
     f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    with exact_digits():
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
 
 
 def as_partition(parts):

@@ -389,15 +389,20 @@ def reference_type(graph: Multigraph) -> CombinatorialType:
     The skeleton is the canonical form of the leg-free graph, the leg map
     the least image under its automorphisms of the vertices the legs sit
     on (by label), and the type is folded when the stabiliser of that map
-    folds the skeleton.
+    folds the skeleton.  The record's graph is the skeleton with leg i on
+    vertex leg_map[i - 1], built through the validated constructor with
+    legs sorted, and its key serialises that graph.
     """
     bare = Multigraph(graph.num_vertices, graph.edges, (), graph.genus)
-    skeleton, perm = canonical_form(bare)
+    skeleton, perm, _ = canonical_form(bare)
     legs = [perm[v] for v, _ in sorted(graph.legs, key=lambda leg: leg[1])]
     auts = automorphisms(skeleton)
     leg_map = min(tuple(a[x] for x in legs) for a in auts)
     fixed = [a for a in auts if all(a[x] == x for x in leg_map)]
-    return CombinatorialType(graph, canonical_key(graph), skeleton, leg_map,
+    typed = Multigraph(skeleton.num_vertices, skeleton.edges,
+                       sorted((v, i) for i, v in enumerate(leg_map, 1)),
+                       skeleton.genus)
+    return CombinatorialType(typed, serialize(typed), skeleton, leg_map,
                              _folds(skeleton, lambda: fixed))
 
 

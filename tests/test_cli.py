@@ -15,13 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from tropica import (cli, elliptic_covers, line_covers, moduli_space,
+from tropica import (cli, elliptic_covers, guards, line_covers, moduli_space,
                      sym_oracle)
 from tropica.cli import main
 from tropica.errors import LoopContractionError
 from tropica.feynman_series import MirrorRow
 from tropica.graphs import automorphisms, parse_graph, serialize
-from tropica.util import slot_of
+from tropica.util import exact_digits, frac_str, slot_of
 
 THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
 
@@ -130,6 +130,26 @@ def test_double_hurwitz_past_degree_six_checks_the_oracle(
                        "--mu", "10,10", "--nu", "4,4,4,4,4")
     assert code == 3
     assert "about 9733560 steps of work" in err
+
+
+def test_listed_covers_build_the_move_tables_twice(capsys, monkeypatch):
+    # the guard's price pass builds them once, and the DP guard, the cover
+    # sweep and the DP share one more build; they once took four
+    builds = []
+    tables = line_covers._tables
+
+    def counted(nu_parts, s):
+        builds.append((nu_parts, s))
+        return tables(nu_parts, s)
+
+    monkeypatch.setattr(line_covers, "_tables", counted)
+    monkeypatch.setattr(guards, "_tables", counted)
+    line_covers._moves.cache_clear()
+    line_covers._dp_total.cache_clear()
+    code, out, _ = run(capsys, "double-hurwitz", "--genus", "1", "--mu",
+                       "6,5,4", "--nu", "5,5,5", "--list-covers")
+    assert (code, out.splitlines()[-1]) == (0, "42750000")
+    assert len(builds) <= 2
 
 
 @pytest.mark.parametrize("genus, mu, nu", [
@@ -526,6 +546,13 @@ def test_cache_key_holds_the_package_version(tmp_path, capsys, monkeypatch):
     assert len(list(cache.iterdir())) == 2
 
 
+def test_package_version_matches_the_project_file():
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert f'\nversion = "{cli.__version__}"\n' in text
+    assert cli.__version__ == "0.2.0"
+
+
 def test_unusable_cache_dir_exits_2(tmp_path, capsys):
     plain = tmp_path / "plain"
     plain.write_text("", encoding="utf-8")
@@ -604,6 +631,20 @@ def test_argument_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def _run_process(argv):
+    """(process, seconds) of one CLI run in a subprocess with a timeout and
+    1 GiB of address space, so that a missing guard fails the case instead
+    of hanging the suite or taking the machine's memory."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tropica.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    return proc, time.perf_counter() - start
+
+
 FORTY_ONES = ",".join(["1"] * 40)
 BIG = str(10 ** 21)
 
@@ -612,6 +653,8 @@ BIG = str(10 ** 21)
     (("feynman", "--graph", "{tmp}/nope.txt", "--order", "1,2",
       "--dmax", "2"), 2),
     (("feynman", "--graph", "{tmp}/huge.txt", "--order", "1,2",
+      "--dmax", "2"), 2),
+    (("feynman", "--graph", "{tmp}/million-digits.txt", "--order", "1,2",
       "--dmax", "2"), 2),
     (("graph-complex", "--genus", "3", "--edges", "6",
       "--dump-matrix", "{tmp}/missing/x.txt"), 2),
@@ -641,40 +684,80 @@ BIG = str(10 ** 21)
     (("moduli", "--genus", "0", "--marks", "9"), 3),
     (("oracle", "line", "--genus", "0", "--mu", "20", "--nu", "20"), 3),
     (("oracle", "elliptic", "--degree", "35", "--genus", "2"), 3),
-], ids=["missing-graph", "huge-vertex-count", "dump-matrix-dir",
-        "cache-dir-under-file", "double-hurwitz", "list-covers",
+], ids=["missing-graph", "huge-vertex-count", "million-digit-header",
+        "dump-matrix-dir", "cache-dir-under-file", "double-hurwitz",
+        "list-covers",
         "double-hurwitz-dp", "list-covers-table", "list-covers-one-part",
         "list-covers-genus", "list-covers-degree-two",
         "double-hurwitz-negative-genus", "chambers", "elliptic", "feynman",
         "mirror-check", "graph-complex", "graph-complex-edges", "moduli",
         "oracle-line", "oracle-elliptic"])
 def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
-    # in a subprocess with a timeout and 1 GiB of address space, so that a
-    # missing guard fails the case instead of hanging the suite or taking
-    # the machine's memory
     (tmp_path / "plain").write_text("", encoding="utf-8")
     (tmp_path / "huge.txt").write_text("V 99999999999 E 0 L 0\n",
                                        encoding="utf-8")
+    # CPython refuses to parse this count in int(); past its digit limit
+    # the parse alone would take seconds
+    (tmp_path / "million-digits.txt").write_text(
+        f"V {'9' * 10 ** 6} E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n",
+        encoding="utf-8")
     shape = elliptic_covers.enumerate_feynman_graphs(3)[0]
     (tmp_path / "shape.txt").write_text(serialize(shape.graph),
                                         encoding="utf-8")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "tropica.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=30,
-                          preexec_fn=lambda: resource.setrlimit(
-                              resource.RLIMIT_AS, (1 << 30, 1 << 30)))
-    elapsed = time.perf_counter() - start
+    proc, elapsed = _run_process(argv)
     assert (proc.returncode, proc.stdout) == (expected, "")
     if FORTY_ONES in argv or "5000" in argv:  # priced before it is built
         assert elapsed < 5
+    if argv[2].endswith("million-digits.txt"):
+        assert elapsed < 2
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     if expected == 3:
         assert proc.stderr.startswith("error: size guard: ")
         assert proc.stderr.endswith("; pass --force to run anyway\n")
+
+
+HURWITZ_5000 = ("--genus", "5000", "--mu", "3", "--nu", "3")
+LISTED_20000 = ("double-hurwitz", "--genus", "20000", "--mu", "2",
+                "--nu", "2", "--list-covers")
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "line", *HURWITZ_5000),
+    ("double-hurwitz", *HURWITZ_5000),
+    LISTED_20000,
+    (*LISTED_20000, "--csv"),
+    (*LISTED_20000, "--json"),
+], ids=["oracle-line", "double-hurwitz", "list-covers", "list-covers-csv",
+        "list-covers-json"])
+def test_counts_past_the_digit_limit_print_in_full(argv):
+    # CPython refuses to write an int of more than 4,300 digits as text;
+    # the count at genus 5000 has 4,771 digits and the weight product
+    # 2^19999 has 6,021: each prints exactly
+    proc, _ = _run_process(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if "20000" not in argv:
+        value = frac_str(sym_oracle.hurwitz_line(5000, (3,), (3,)))
+        assert len(value) == 4771
+        assert proc.stdout == value + "\n"
+        return
+    with exact_digits():
+        weight = str(2 ** 19999)
+        report = json.loads(proc.stdout) if "--json" in argv else None
+    assert len(weight) == 6021
+    if report:
+        (cover,) = report["result"]["covers"]
+        assert cover["weightProduct"] == 2 ** 19999
+        assert report["result"]["total"] == "1/2"
+    elif "--csv" in argv:
+        # no cell holds a comma or a quote; the cover's cell is longer
+        # than the csv module reads by default
+        header, row, total = proc.stdout.splitlines()
+        assert row.split(",")[1] == weight and total == "total,,,,1/2"
+    else:
+        cover, total = proc.stdout.splitlines()
+        assert f" weight={weight} " in cover and total == "1/2"
 
 
 def test_degree_one_at_any_genus_has_no_cover(capsys):

@@ -149,11 +149,63 @@ def test_canonical_form_is_invariant_under_relabeling():
 def test_canonical_form_returns_reaching_permutation():
     for g in [k4(), dumbbell(), caterpillar(),
               Multigraph(3, [(0, 1), (1, 2)], genus=[1, 0, 2])]:
-        canon, perm = canonical_form(g)
+        canon, perm, _ = canonical_form(g)
         moved = g.relabeled(perm)
         assert sorted(moved.edges) == list(canon.edges)
         assert sorted(moved.legs) == list(canon.legs)
         assert moved.genus == canon.genus
+
+
+def _fixes(g, perm):
+    """Whether the vertex permutation maps g onto itself."""
+    moved = g.relabeled(perm)
+    return (sorted(moved.edges) == sorted(g.edges)
+            and sorted(moved.legs) == sorted(g.legs)
+            and moved.genus == g.genus)
+
+
+def test_canonical_form_returns_the_automorphisms_of_its_graph():
+    graphs = []
+    for n, degrees, loops in [
+        (1, [4], True), (1, [6], True),
+        (2, [3, 3], False), (2, [4, 4], True), (2, [5, 3], True),
+        (3, [2, 2, 2], False), (3, [4, 3, 3], True), (3, [4, 4, 4], True),
+        (4, [3, 3, 3, 3], False), (4, [3, 3, 3, 3], True),
+        (4, [4, 4, 2, 2], True), (5, [4, 4, 4, 2, 2], False),
+    ]:
+        found = enumerate_graphs(n, degrees, allow_loops=loops)
+        assert found
+        graphs += found
+        # genus on the first vertex and on the last two
+        graphs += [Multigraph(n, g.edges, genus=[1] + [0] * (n - 1))
+                   for g in found]
+        graphs += [Multigraph(n, g.edges, genus=[0] * (n - 2) + [1, 2])
+                   for g in found if n >= 2]
+    for n, degrees, legs, loops in [(2, [3, 3], 2, False),
+                                    (3, [3, 2, 1], 2, True),
+                                    (3, [3, 3, 2], 2, False)]:
+        graphs += labeled_leg_classes(n, degrees, legs, allow_loops=loops)
+    k33 = Multigraph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    prism = Multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                           (0, 3), (1, 4), (2, 5)])
+    graphs += [
+        k4(), k33, prism, theta(), dumbbell(), caterpillar(),
+        Multigraph(2, [(0, 1), (0, 1)], legs=[(0, 0), (1, 0)]),
+        Multigraph(3, [(0, 1), (1, 2), (0, 2)],
+                   legs=[(0, 0), (0, 0), (1, 0), (2, 0)]),
+        Multigraph(1, [(0, 0), (0, 0)], legs=[(0, 0)], genus=[1]),
+    ]
+    rng = random.Random(20261020)
+    for g in graphs:
+        for h in [g] + [random_relabel(g, rng) for _ in range(3)]:
+            canon, _, auts = canonical_form(h)
+            assert len(set(auts)) == len(auts), serialize(h)
+            assert set(auts) == set(automorphisms(canon)), serialize(h)
+            assert all(_fixes(canon, a) for a in auts), serialize(h)
+    assert len(canonical_form(k33)[2]) == 72
+    assert len(canonical_form(prism)[2]) == 12
+    assert len(canonical_form(k4())[2]) == 24
+    assert len(canonical_form(theta())[2]) == 2
 
 
 def test_canonical_form_separates_classes():

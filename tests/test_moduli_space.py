@@ -1,11 +1,13 @@
+import random
 from collections import Counter
 
 import pytest
 
-from helpers import naive_poset, reference_type, unpruned_type_keys
+from helpers import (naive_poset, random_relabel, reference_type,
+                     unpruned_type_keys)
 from tropica import graphs, guards
 from tropica.errors import ArgumentError, SizeGuardError
-from tropica.graphs import Multigraph, canonical_form, canonical_key
+from tropica.graphs import Multigraph, canonical_form, canonical_key, serialize
 from tropica.moduli_space import (build_poset, enumerate_types, is_folded,
                                   max_dimension)
 
@@ -60,11 +62,17 @@ def test_trivalent_tree_counts_match_double_factorial():
         assert len(top) == expected
 
 
+def keys_serialize_distinct_graphs(types):
+    """Whether each key serialises its type's graph, no two keys equal."""
+    keys = [t.key for t in types]
+    return (len(set(keys)) == len(keys)
+            and all(t.key == serialize(t.graph) for t in types))
+
+
 def test_types_are_stable_and_consistent():
     for g, n in ((0, 4), (1, 1), (1, 2), (2, 0)):
         types = enumerate_types(g, n)
-        keys = [t.key for t in types]
-        assert len(set(keys)) == len(keys)
+        assert keys_serialize_distinct_graphs(types)
         for t in types:
             graph = t.graph
             assert graph.total_genus() == g
@@ -73,13 +81,16 @@ def test_types_are_stable_and_consistent():
             assert graph.is_connected()
             for gv, valence in zip(graph.genus, graph.valences()):
                 assert 2 * gv - 2 + valence > 0
-            assert canonical_key(graph) == t.key
 
 
 @pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (1, 2), (1, 3), (2, 0),
                                   (2, 1), (2, 2), (2, 3), (3, 0)])
 def test_pruned_search_keeps_every_type(g, n):
-    assert {t.key for t in enumerate_types(g, n)} == unpruned_type_keys(g, n)
+    types = enumerate_types(g, n)
+    assert keys_serialize_distinct_graphs(types)
+    keys = [canonical_key(t.graph) for t in types]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == unpruned_type_keys(g, n)
 
 
 def test_genus_three_counts():
@@ -170,7 +181,9 @@ def test_poset_is_graded_and_downward_connected():
 def test_poset_matches_an_independent_route(g, n):
     poset = build_poset(enumerate_types(g, n))
     keys, covers, folded = naive_poset(poset.types)
-    assert keys == [t.key for t in poset.types]
+    assert keys_serialize_distinct_graphs(poset.types)
+    assert keys == [canonical_key(t.graph) for t in poset.types]
+    assert len(set(keys)) == len(keys)
     assert covers == list(poset.covers)
     assert folded == [t.folded for t in poset.types]
 
@@ -179,8 +192,12 @@ def test_poset_matches_an_independent_route(g, n):
 # and (3, 1) the legs cut those groups down to stabilisers
 @pytest.mark.parametrize("g, n", [(0, 6), (1, 4), (2, 2), (3, 1), (4, 0)])
 def test_types_record_their_skeleton_leg_map_and_folding(g, n):
-    for t in enumerate_types(g, n):
+    types = enumerate_types(g, n)
+    assert keys_serialize_distinct_graphs(types)
+    rng = random.Random(20261020)
+    for t in types:
         assert t == reference_type(t.graph)
+        assert t == reference_type(random_relabel(t.graph, rng))
 
 
 @pytest.mark.parametrize("g, n", [(1, 3), (3, 0)])
@@ -205,15 +222,17 @@ def test_types_and_poset_label_once_per_type(monkeypatch):
     build_poset(types)
     skeletons = {t.skeleton for t in types}
     assert (len(types), len(skeletons)) == (1576, 35)
-    # one search per finished type, a few per skeleton; labelling every
-    # extension and contraction took about 10,800
-    assert enumerated <= len(types) + 20 * len(skeletons)
-    # the poset labels each distinct (skeleton, edge) contraction and finds
-    # the automorphisms of each skeleton below one; relabelling every type
-    # to find its skeleton again took 375
+    # only leg-free candidates are searched: 81 graphs inside
+    # enumerate_graphs and 49 genus decorations, with their automorphisms
+    # read off the same searches; searching those automorphisms again and
+    # labelling every finished type took 1,741, and labelling every
+    # extension and contraction about 10,800
+    assert enumerated == 130
+    # the poset labels each distinct (skeleton, edge) contraction once,
+    # and each labelling gives the automorphisms of the skeleton below;
+    # with a second search for those it took 142
     contractions = sum(len(set(s.edges)) for s in skeletons)
-    lower = sum(1 for s in skeletons if s.num_edges < types[-1].dimension)
-    assert len(calls) - enumerated <= contractions + lower == 142
+    assert len(calls) - enumerated == contractions == 117
 
 
 def test_max_dimension_values():
