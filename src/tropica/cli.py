@@ -399,7 +399,8 @@ def _with_cache(args, compute):
     key = hashlib.sha256(blob).hexdigest()
     path = os.path.join(args.cache_dir, key + ".json")
     try:
-        with open(path, encoding="utf-8") as handle:
+        # our own files: an int past CPython's digit limit reads back whole
+        with open(path, encoding="utf-8") as handle, exact_digits():
             return json.load(handle)
     except (OSError, ValueError):
         pass  # missing, unreadable or truncated: recompute and overwrite
@@ -407,9 +408,7 @@ def _with_cache(args, compute):
     scratch = f"{path}.{os.getpid()}.tmp"
     try:
         with open(scratch, "w", encoding="utf-8") as handle, exact_digits():
-            # in payload order, which the oracle's CSV columns follow; an
-            # int past CPython's digit limit cannot be read back, so such
-            # an entry is a miss and is computed again
+            # in payload order, which the oracle's CSV columns follow
             json.dump(payload, handle)
         os.replace(scratch, path)
     except OSError as exc:

@@ -14,6 +14,8 @@ Canonical labelling is one depth-first branch-and-bound search, _search,
 over the relabelings that keep the refined vertex color classes in
 order; canonical_form and automorphisms both read their answer off it,
 so the canonical form comes with its automorphisms at no further search.
+Enumeration fills multiplicity matrices row by row with interchangeable
+vertices kept in order, so it labels about one graph per class.
 """
 
 from collections import namedtuple
@@ -167,6 +169,12 @@ def serialize(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quoted(line):
+    """The line in quotes, cut after 40 characters so that an error stays
+    short however long the line is."""
+    return repr(line) if len(line) <= 40 else repr(line[:40]) + "..."
+
+
 def parse_graph(text: str) -> Multigraph:
     """Inverse of serialize; raises ArgumentError on malformed input."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
@@ -174,38 +182,40 @@ def parse_graph(text: str) -> Multigraph:
         raise ArgumentError("empty graph text")
     head = lines[0].split()
     if len(head) != 6 or head[0] != "V" or head[2] != "E" or head[4] != "L":
-        raise ArgumentError(f"bad header line: {lines[0]!r}")
+        raise ArgumentError(f"bad header line: {_quoted(lines[0])}")
     try:
         n, m, k = int(head[1]), int(head[3]), int(head[5])
     except ValueError as exc:
-        raise ArgumentError(f"bad header counts: {lines[0]!r}") from exc
+        raise ArgumentError(f"bad header counts: {_quoted(lines[0])}") \
+            from exc
     edges, legs, genera = [], [], {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
-            raise ArgumentError(f"bad graph line: {ln!r}")
+            raise ArgumentError(f"bad graph line: {_quoted(ln)}")
         tag = parts[0]
+        if tag not in ("e", "l", "g"):
+            raise ArgumentError(f"unknown line tag: {_quoted(ln)}")
         try:
             a, b = int(parts[1]), int(parts[2])
         except ValueError as exc:
-            raise ArgumentError(f"bad graph line: {ln!r}") from exc
+            raise ArgumentError(f"bad graph line: {_quoted(ln)}") from exc
+        if not 0 <= a < n or tag == "e" and not 0 <= b < n:
+            raise ArgumentError(f"vertex out of range: {_quoted(ln)}")
         if tag == "e":
             edges.append((a, b))
         elif tag == "l":
             legs.append((a, b))
-        elif tag == "g":
-            if not 0 <= a < n:
-                raise ArgumentError(f"genus line vertex out of range: {ln!r}")
-            if genera.get(a, 0) != 0:
-                raise ArgumentError(f"duplicate genus line for vertex {a}")
-            genera[a] = b
+        elif genera.get(a, 0) != 0:
+            raise ArgumentError(f"duplicate genus line: {_quoted(ln)}")
         else:
-            raise ArgumentError(f"unknown line tag: {ln!r}")
+            genera[a] = b
     if len(edges) != m or len(legs) != k:
         raise ArgumentError("edge or leg count does not match header")
     if n > max(1, 2 * m + k):  # past one vertex, each needs a half-edge
-        raise ArgumentError(f"{n} vertices but {2 * m + k} half-edges: "
-                            "some vertex is isolated")
+        raise ArgumentError(f"header {_quoted(lines[0])} has more vertices "
+                            f"than its {2 * m + k} half-edges: some vertex "
+                            "is isolated")
     return Multigraph(n, edges, legs, [genera.get(v, 0) for v in range(n)])
 
 
@@ -440,67 +450,50 @@ def automorphism_group_order(g: Multigraph) -> int:
 
 # -- enumeration ----------------------------------------------------------
 
-def _symmetric_matrices(residual, allow_loops, allow_parallel):
-    """Yield upper triangular multiplicity rows realizing the residual
-    degrees; loops sit on the diagonal and count 2 toward their vertex."""
-    n = len(residual)
-    cells = [(u, v) for u in range(n) for v in range(u, n)]
+def _edge_lists(degrees, allow_loops, allow_parallel):
+    """Yield the sorted edge list of each upper triangular multiplicity
+    matrix with the given valences (non-increasing) whose twins are in
+    order, filled as enumerate_graphs describes; loops sit on the
+    diagonal and count 2 toward their vertex."""
+    n = len(degrees)
+    rem = list(degrees)
+    rows = [[0] * n for _ in range(n)]
+    edges = []
 
-    def cap(u, v, rem):
-        if u == v:
-            if not allow_loops:
-                return 0
-            return rem[u] // 2
-        c = min(rem[u], rem[v])
-        if not allow_parallel:
-            c = min(c, 1)
-        return c
-
-    def remaining_capacity(idx, rem):
-        # upper bound on what later cells can still absorb per vertex
-        bound = [0] * n
-        for u, v in cells[idx:]:
-            c = cap(u, v, rem)
-            if u == v:
-                bound[u] += 2 * c
-            else:
-                bound[u] += c
-                bound[v] += c
-        return all(bound[v] >= rem[v] for v in range(n))
-
-    rem = list(residual)
-    choice = []
-
-    def rec(idx):
-        if idx == len(cells):
-            if all(r == 0 for r in rem):
-                yield dict(zip(cells, choice))
+    def fill(u, v, twins):
+        # twins[w]: w - 1 and w are twins while row u is filled
+        row = rows[u]
+        if v == n:
+            if rem[u]:
+                return
+            if u + 1 == n:
+                yield tuple(edges)
+                return
+            yield from fill(u + 1, u + 1, [
+                t and row[w - 1] == row[w] for w, t in enumerate(twins)])
             return
-        u, v = cells[idx]
-        # once all cells touching u are behind us, rem[u] must be settled
-        if not remaining_capacity(idx, rem):
-            return
-        top = cap(u, v, rem)
-        for m in range(top + 1):
-            take = 2 * m if u == v else m
-            if u == v:
-                rem[u] -= take
-            else:
-                rem[u] -= m
-                rem[v] -= m
-            choice.append(m)
-            yield from rec(idx + 1)
-            choice.pop()
-            if u == v:
-                rem[u] += take
-            else:
-                rem[u] += m
-                rem[v] += m
+        most = min(rem[u], rem[v])
+        if v == u:
+            most = most // 2 if allow_loops else 0
+        elif not allow_parallel:
+            most = min(most, 1)
+        if v > u + 1 and twins[v]:
+            most = min(most, row[v - 1])
+        for m in range(most + 1):
+            row[v] = m
+            rem[u] -= m  # a loop takes 2 from rem[u]
+            rem[v] -= m
+            edges.extend([(u, v)] * m)
+            yield from fill(u, v + 1, twins)
+            del edges[len(edges) - m:]
+            rem[u] += m
+            rem[v] += m
 
     try:
-        yield from rec(0)
+        yield from fill(0, 0, [v > 0 and degrees[v - 1] == degrees[v]
+                               for v in range(n)])
     finally:
-        del rec  # it refers to itself through this cell: break the cycle
+        del fill  # it refers to itself through this cell: break the cycle
 
 
 def enumerate_graphs(num_vertices, degree_sequence, *, allow_loops=False,
@@ -509,6 +502,16 @@ def enumerate_graphs(num_vertices, degree_sequence, *, allow_loops=False,
 
     degree_sequence lists one valence per vertex (order irrelevant).
     Returns canonical representatives sorted by canonical key.
+
+    The upper triangular multiplicity matrix is filled row by row, each
+    row left to right, with vertices in order of non-increasing valence.
+    While row u is filled, two later vertices v - 1 < v with equal
+    valences and equal edges to every earlier row are twins, and (u, v - 1)
+    takes at least as many edges as (u, v).  Swapping twins changes no
+    earlier row, so sorting each twin block by its row-u entries, row
+    after row, turns any labelling of a graph into one that is generated:
+    every class is reached, and few are reached twice.  Each connected
+    matrix is labelled by canonical_form, which merges the copies.
     """
     n = int(num_vertices)
     if n < 0:
@@ -524,17 +527,11 @@ def enumerate_graphs(num_vertices, degree_sequence, *, allow_loops=False,
         return []
 
     reps = set()
-    for matrix in _symmetric_matrices(degrees, allow_loops, allow_parallel):
-        edges = []
-        for (u, v), m in sorted(matrix.items()):
-            edges.extend([(u, v)] * m)
-        try:
-            g = Multigraph(n, edges)
-        except ArgumentError:
-            continue
-        if not g.is_connected():
-            continue
-        reps.add(canonical_form(g)[0])
+    for edges in _edge_lists(degrees, allow_loops, allow_parallel):
+        # past one vertex, a vertex of valence 0 leaves g disconnected
+        g = Multigraph._trusted(n, edges, (), (0,) * n)
+        if g.is_connected():
+            reps.add(canonical_form(g)[0])
     return sorted(reps, key=serialize)
 
 

@@ -363,8 +363,15 @@ def test_graph_complex_report(tmp_path, capsys):
                                "homologyDimension": 1, "isHZero": True}]
 
 
+def test_graph_complex_genus_five_runs_unforced(capsys):
+    # W5, the wheel with five spokes, gives the one class at genus 5
+    code, out, _ = run(capsys, "graph-complex", "--genus", "5")
+    assert code == 0
+    assert "n=10 basis=2 homology=1 (H0)" in out.splitlines()
+
+
 def test_graph_complex_exit_codes(capsys):
-    assert run(capsys, "graph-complex", "--genus", "5")[0] == 3
+    assert run(capsys, "graph-complex", "--genus", "7")[0] == 3
     assert run(capsys, "graph-complex", "--genus", "1")[0] == 2
     assert run(capsys, "graph-complex", "--genus", "3",
                "--dump-matrix", "x.txt")[0] == 2
@@ -679,8 +686,8 @@ BIG = str(10 ** 21)
     (("feynman", "--graph", "{tmp}/shape.txt", "--order", "1,2,3,4",
       "--dmax", "11"), 3),
     (("mirror-check", "--genus", "2", "--dmax", "7"), 2),
-    (("graph-complex", "--genus", "5"), 3),
-    (("graph-complex", "--genus", "5", "--edges", "12"), 3),
+    (("graph-complex", "--genus", "7"), 3),
+    (("graph-complex", "--genus", "7", "--edges", "14"), 3),
     (("moduli", "--genus", "0", "--marks", "9"), 3),
     (("oracle", "line", "--genus", "0", "--mu", "20", "--nu", "20"), 3),
     (("oracle", "elliptic", "--degree", "35", "--genus", "2"), 3),
@@ -711,6 +718,7 @@ def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
         assert elapsed < 5
     if argv[2].endswith("million-digits.txt"):
         assert elapsed < 2
+        assert len(proc.stderr) < 200  # the header is quoted in part
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     if expected == 3:
@@ -758,6 +766,23 @@ def test_counts_past_the_digit_limit_print_in_full(argv):
     else:
         cover, total = proc.stdout.splitlines()
         assert f" weight={weight} " in cover and total == "1/2"
+
+
+def test_cache_entry_past_the_digit_limit_is_reused(tmp_path, capsys):
+    # the entry holds 2^19999, past the digit limit of int from text: the
+    # second run reads it back rather than computing and writing it again
+    cache = tmp_path / "cache"
+    args = (*LISTED_20000, "--json", "--cache-dir", str(cache))
+    code, first, _ = run(capsys, *args)
+    assert code == 0
+    (entry,) = cache.iterdir()
+    written = entry.stat()
+    code, second, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert second == first
+    read = entry.stat()
+    assert (read.st_ino, read.st_mtime_ns) == (written.st_ino,
+                                               written.st_mtime_ns)
 
 
 def test_degree_one_at_any_genus_has_no_cover(capsys):

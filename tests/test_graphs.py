@@ -12,6 +12,7 @@ from helpers import (brute_force_automorphisms, brute_force_search,
                      labeled_leg_classes, local_rh_defect, random_relabel,
                      stub_matching_classes)
 from tropica.errors import ArgumentError, LoopContractionError
+from tropica.graph_complex import basis
 from tropica.graphs import (
     Multigraph,
     _refined_colors,
@@ -124,9 +125,14 @@ def test_parse_rejects_malformed():
         "V 2 E 1 L 0\ne 0 1\nx 0 0\n",
         "V 2 E 1 L 0\ne 0 2\n",
         "V 2 E 1 L 0\ne 0 1\ng 0 1\ng 0 2\n",
+        # the message quotes a prefix of a long line
+        f"V {'9' * 4000} E 0 L 0\n",
+        f"V 2 E 1 L 0\ne 0 {'9' * 4000}\n",
+        f"V 2 E 1 L 1\ne 0 1\nl {'9' * 4000} 1\n",
     ]:
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError) as exc:
             parse_graph(text)
+        assert len(str(exc.value)) < 200
 
 
 def test_canonical_form_is_invariant_under_relabeling():
@@ -372,12 +378,15 @@ def test_vertex_automorphisms_respect_structure():
 
 
 def test_automorphisms_leave_no_garbage():
-    # the search's recursive closure must not outlive the call
+    # the recursive closures of the search and of enumeration's matrix
+    # generator must not outlive the call
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
         assert len(automorphisms(k4())) == 24
+        assert gc.collect() == 0
+        assert len(enumerate_graphs(4, [3, 3, 3, 3], allow_loops=True)) == 5
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -434,6 +443,14 @@ def test_enumeration_matches_stub_matching():
         (2, [4, 4], True, True),
         (4, [3, 3, 3, 3], False, False),
         (4, [3, 3, 2, 2], False, False),
+        # twin blocks that split: the 2-valent block by its edges to row 0
+        (5, [3, 3, 2, 2, 2], False, True),
+        (6, [3, 3, 2, 2, 1, 1], False, False),
+        (5, [2, 2, 2, 2, 2], False, False),
+        # loops, with and without parallel edges
+        (4, [4, 3, 3, 2], True, True),
+        (5, [4, 2, 2, 2, 2], True, False),
+        (4, [3, 3, 3, 3], True, False),
     ]
     for n, degrees, loops, parallel in cases:
         found = enumerate_graphs(n, degrees, allow_loops=loops,
@@ -452,6 +469,24 @@ def test_labeled_leg_classes_match_stub_matching():
         keys = {canonical_key(g) for g in found}
         assert len(keys) == len(found)
         assert keys == stub_matching_classes(n, degrees, legs, loops)
+
+
+def test_enumeration_labels_about_one_graph_per_class(monkeypatch):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return _search(graph)
+
+    monkeypatch.setattr("tropica.graphs._search", counted)
+    # 6 cubic classes: every labelled matrix took 640 searches
+    assert len(enumerate_graphs(6, [3] * 6)) == 6
+    assert len(calls) <= 20
+    calls.clear()
+    # 5 simple cubic classes: every labelled matrix took 19,320 searches
+    assert len(enumerate_graphs(8, [3] * 8, allow_parallel=False)) == 5
+    assert len(calls) <= 40
+    assert basis(5, 12) == []
 
 
 def test_enumeration_known_counts():

@@ -222,12 +222,13 @@ def test_types_and_poset_label_once_per_type(monkeypatch):
     build_poset(types)
     skeletons = {t.skeleton for t in types}
     assert (len(types), len(skeletons)) == (1576, 35)
-    # only leg-free candidates are searched: 81 graphs inside
+    # only leg-free candidates are searched: 39 graphs inside
     # enumerate_graphs and 49 genus decorations, with their automorphisms
-    # read off the same searches; searching those automorphisms again and
-    # labelling every finished type took 1,741, and labelling every
-    # extension and contraction about 10,800
-    assert enumerated == 130
+    # read off the same searches; searching every labelled matrix rather
+    # than one with its twin vertices ordered took 130, searching those
+    # automorphisms again and labelling every finished type took 1,741,
+    # and labelling every extension and contraction about 10,800
+    assert enumerated == 88
     # the poset labels each distinct (skeleton, edge) contraction once,
     # and each labelling gives the automorphisms of the skeleton below;
     # with a second search for those it took 142
