@@ -7,9 +7,11 @@ chamber the polynomial is assembled symbolically: every 3-valent tree
 with l + l' labeled ends carries, per bounded edge, the linear weight
 form forced by balancing; a tree contributes on the chamber where all
 its edge weights are positive, with multiplicity the number of ways to
-order its vertices compatibly with the edge orientations.  The same
-polynomial is recomputed by exact interpolation from point counts and
-the two must agree.
+order its vertices compatibly with the edge orientations.  A tree's
+term is a product of its n - 3 bounded edge weights (n = l + l'), so
+every chamber polynomial is homogeneous of degree n - 3.  The same
+polynomial is recomputed by exact interpolation from point counts in
+the monomials of that degree, and the two must agree.
 
 Chamber polynomials are reduced to slice coordinates (nu_l' is
 eliminated via the relation) and evaluate the count for tuples with
@@ -17,7 +19,6 @@ pairwise distinct entries; at repeated entries the tuple count and the
 partition count differ by symmetry factors.
 """
 
-import functools
 import itertools
 import math
 import operator
@@ -27,6 +28,15 @@ from fractions import Fraction
 from .errors import ArgumentError, CrossCheckError, DegenerateInputError
 from .line_covers import double_hurwitz_tropical
 from .util import frac_str, linear_extension_count, reduce_row
+
+
+def _signed_sum(parts):
+    """Join (sign, term) pairs as "a - b + c"; "0" when there are none."""
+    if not parts:
+        return "0"
+    text = "".join(f" {sign} {term}" for sign, term in parts)
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
 
 class LinearForm(namedtuple("LinearForm", "mu_coeffs nu_coeffs")):
     """An integer linear form sum a_i mu_i + sum b_j nu_j."""
@@ -40,23 +50,12 @@ class LinearForm(namedtuple("LinearForm", "mu_coeffs nu_coeffs")):
                 + sum(map(operator.mul, self.nu_coeffs, nu)))
 
     def text(self) -> str:
-        parts = []
-        names = [(f"mu{i + 1}", a) for i, a in enumerate(self.mu_coeffs)]
-        names += [(f"nu{j + 1}", b) for j, b in enumerate(self.nu_coeffs)]
-        for name, coeff in names:
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            term = name if mag == 1 else f"{mag}*{name}"
-            parts.append((sign, term))
-        if not parts:
-            return "0"
-        first_sign, first_term = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_term
-        for sign, term in parts[1:]:
-            out += f" {sign} {term}"
-        return out
+        names = [f"mu{i + 1}" for i in range(len(self.mu_coeffs))]
+        names += [f"nu{j + 1}" for j in range(len(self.nu_coeffs))]
+        coeffs = (*self.mu_coeffs, *self.nu_coeffs)
+        return _signed_sum([("-" if c < 0 else "+",
+                             name if abs(c) == 1 else f"{abs(c)}*{name}")
+                            for name, c in zip(names, coeffs) if c])
 
 
 def walls(lmu: int, lnu: int):
@@ -181,6 +180,8 @@ class ChamberPolynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def evaluate(self, mu, nu):
+        if len(mu) != self.lmu or len(nu) != self.lnu:
+            raise ArgumentError("point has the wrong number of entries")
         if sum(mu) != sum(nu):
             raise ArgumentError("evaluation point must satisfy the slice "
                                "relation sum(mu) == sum(nu)")
@@ -204,17 +205,11 @@ class ChamberPolynomial:
                 + [f"nu{j + 1}" for j in range(self.lnu - 1)])
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
         names = self.variable_names()
         rendered = []
         for exps, coeff in self.ordered_terms():
-            factors = []
-            for name, p in zip(names, exps):
-                if p == 1:
-                    factors.append(name)
-                elif p > 1:
-                    factors.append(f"{name}^{p}")
+            factors = [name if p == 1 else f"{name}^{p}"
+                       for name, p in zip(names, exps) if p]
             mag = abs(coeff)
             if not factors:
                 body = frac_str(mag)
@@ -223,11 +218,7 @@ class ChamberPolynomial:
             else:
                 body = "*".join([frac_str(mag)] + factors)
             rendered.append(("-" if coeff < 0 else "+", body))
-        sign, body = rendered[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in rendered[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _signed_sum(rendered)
 
 
 def _reduce_to_slice(mu_coeffs, nu_coeffs):
@@ -325,41 +316,49 @@ def _symbolic_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
 
 def _distinct_chamber_points(chamber: Chamber, lmu, lnu):
     """Interior integer points with pairwise distinct mu and nu entries,
-    in order of growing degree."""
+    in order of growing degree.
+
+    One degree shell fixes a homogeneous polynomial, so each chamber
+    scans its own shells; a point is inside when every wall form,
+    negated where the chamber's sign is "-", is positive."""
+    forms = [wall if sign == "+" else LinearForm(
+                 tuple(-a for a in wall.mu_coeffs),
+                 tuple(-b for b in wall.nu_coeffs))
+             for wall, sign in zip(chamber.walls, chamber.signs)]
     degree = max(lmu * (lmu + 1) // 2, lnu * (lnu + 1) // 2)
     while True:
-        groups = _distinct_points_by_signs(chamber.walls, lmu, lnu, degree)
-        yield from groups.get(tuple(chamber.signs), ())
+        shell = range(1, degree + 1)
+        nus = [(nu, [sum(map(operator.mul, f.nu_coeffs, nu)) for f in forms])
+               for nu in itertools.permutations(shell, lnu)
+               if sum(nu) == degree]
+        for mu in itertools.permutations(shell, lmu):
+            if sum(mu) != degree:
+                continue
+            mu_part = [sum(map(operator.mul, f.mu_coeffs, mu)) for f in forms]
+            for nu, nu_part in nus:
+                if min(map(operator.add, mu_part, nu_part), default=1) > 0:
+                    yield mu, nu
         degree += 1
 
 
-# Every chamber of one arrangement scans the same points, so the sign
-# vectors of one degree are computed once and shared.
-@functools.lru_cache(maxsize=64)
-def _distinct_points_by_signs(wall_forms, lmu, lnu, degree):
-    mu_tuples = [p for p in itertools.permutations(range(1, degree + 1), lmu)
-                 if sum(p) == degree]
-    nu_tuples = [p for p in itertools.permutations(range(1, degree + 1), lnu)
-                 if sum(p) == degree]
-    groups = {}
-    for mu in mu_tuples:
-        for nu in nu_tuples:
-            values = [w.evaluate(mu, nu) for w in wall_forms]
-            if 0 not in values:
-                signs = tuple("+" if v > 0 else "-" for v in values)
-                groups.setdefault(signs, []).append((mu, nu))
-    return groups
-
-
 def _interpolated_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
+    """Fit the point counts by the monomials of degree exactly n - 3.
+
+    Every chamber polynomial is homogeneous of that degree, so the fit
+    assumes it.  The first of three check points is the first solve
+    point scaled by the least k past every solve point's degree (2 on
+    every admitted profile); it lies in the same open cone, and a count
+    that is not homogeneous of degree n - 3 fails there.
+    """
     num_vars = lmu + lnu - 1
-    max_degree = lmu + lnu - 3
-    basis = [e for e in itertools.product(range(max_degree + 1),
-                                          repeat=num_vars)
-             if sum(e) <= max_degree]
+    degree = lmu + lnu - 3
+    basis = [e for e in itertools.product(range(degree + 1), repeat=num_vars)
+             if sum(e) == degree]
     rows = []
     points = _distinct_chamber_points(chamber, lmu, lnu)
+    first = None
     for mu, nu in points:
+        first = first or (mu, nu)
         coords = tuple(mu) + tuple(nu)[:-1]
         count = double_hurwitz_tropical(0, mu, nu)
         # clear the count's power-of-two denominator so the row is integral
@@ -387,16 +386,15 @@ def _interpolated_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
             solved = ChamberPolynomial(
                 lmu, lnu,
                 {e: c for e, c in zip(basis, solution) if c != 0})
-            # a few extra points act as consistency checks
-            for extra, (mu2, nu2) in enumerate(points):
+            scale = sum(mu) // sum(first[0]) + 1
+            scaled = tuple(tuple(scale * x for x in part) for part in first)
+            for mu2, nu2 in [scaled, *itertools.islice(points, 2)]:
                 if solved.evaluate(mu2, nu2) \
                         != double_hurwitz_tropical(0, mu2, nu2):
                     raise CrossCheckError(
                         "interpolated chamber polynomial fails at "
                         f"mu={mu2} nu={nu2}")
-                if extra == 2:
-                    return solved
-    raise CrossCheckError("ran out of interpolation points")
+            return solved
 
 
 def chamber_polynomial(chamber: Chamber) -> ChamberPolynomial:

@@ -19,7 +19,7 @@ LIMITS = {
     "line_dp": 250_000,  # events; (0, (3,3,2,2,1,1), (2^4,1^4)) is 158,956
     "elliptic": 50_000,  # steps; (7, 3) is 41,184 and runs in about 0.45 s
     "elliptic_oracle": 500_000,  # steps; (34, 2) is 423,164
-    "chambers": 200_000,  # steps; (5, 1) is 175,616
+    "chambers": 200_000,  # steps; (5, 1) is 42,875
     "feynman": 200_000,  # terms; dmax 10 on 6 edges is 168,168
     "moduli": 10_395,  # types; every (g, n) with six vertices
     "graph_complex": 6_190_283_353_629_375,  # pairings; genus 6 runs in 0.7 s
@@ -140,10 +140,10 @@ def elliptic_oracle(degree, genus, force=False):
 
 
 def chambers(lmu, lnu, force=False):
-    """W + 1 chambers times B^3, B = C(2n - 4, n - 3), for W walls."""
+    """W + 1 chambers times B^3, B = C(2n - 5, n - 3), for W walls."""
     a, b = min(lmu, CAP), min(lnu, CAP)
     num_walls = (2 ** max(a - 1, 0) - 1) * (2 ** max(b, 0) - 2)
-    unknowns = math.comb(max(2 * (a + b) - 4, 0), max(a + b - 3, 0))
+    unknowns = math.comb(max(2 * (a + b) - 5, 0), max(a + b - 3, 0))
     return _check("chambers", (num_walls + 1) * unknowns ** 3,
                   f"lmu {lmu}, lnu {lnu}", "steps", force,
                   f" (at least {num_walls + 1} chambers, {unknowns}^3 for "

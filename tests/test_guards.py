@@ -39,9 +39,9 @@ THETA_TEXT = "V 2 E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n"
      "degree 5, genus 4 is about 1441440 steps of work,"),
     (guards.elliptic_oracle, (34, 2), 423164, (35, 2),
      "degree 35, genus 2 is about 525805 steps of work,"),
-    (guards.chambers, (5, 1), 175616, (3, 3),
-     "lmu 3, lnu 3 is about 3336704 steps of work (at least 19 chambers, "
-     "56^3 for the 56 unknowns of each),"),
+    (guards.chambers, (5, 1), 42875, (3, 3),
+     "lmu 3, lnu 3 is about 814625 steps of work (at least 19 chambers, "
+     "35^3 for the 35 unknowns of each),"),
     (guards.feynman, (6, 10), 168168, (6, 11),
      "dmax 11 on 6 edges is about 284648 terms of work,"),
     (guards.moduli, (0, 8), 10395, (0, 9),
