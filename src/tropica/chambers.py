@@ -223,12 +223,9 @@ class ChamberPolynomial:
 
 def _reduce_to_slice(mu_coeffs, nu_coeffs):
     """Slice coordinates of a linear form: nu_last := sum mu - other nu."""
-    lmu, lnu = len(mu_coeffs), len(nu_coeffs)
     last = nu_coeffs[-1]
-    out = [a + last for a in mu_coeffs]
-    out += [b - last for b in nu_coeffs[:-1]]
-    assert len(out) == lmu + lnu - 1
-    return out
+    return ([a + last for a in mu_coeffs]
+            + [b - last for b in nu_coeffs[:-1]])
 
 
 # -- the symbolic route ------------------------------------------------------

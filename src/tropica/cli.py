@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 stdout closed before the output was written,
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import operator
@@ -74,7 +75,7 @@ def _run_double_hurwitz(args):
     rows, numerators, labels = [], {}, {}
     for cover in iter_line_covers(args.genus, mu, nu):
         m = multiplicity(cover)
-        key = num, den = m.value.numerator, m.value.denominator
+        key = num, den = m.value.as_integer_ratio()
         numerators[den] = numerators.get(den, 0) + num
         if key not in labels:  # one string per distinct value
             labels[key] = frac_str(m.value)
@@ -508,16 +509,78 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BATCH = 1 << 16  # characters per write, about; never twice as many
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(depth):
+    """The C encoder, with a newline and depth indents between entries."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "),
+                            sort_keys=True).encode
+
+
+def _slices(items, depth):
+    """Yield containers of scalars, all dicts or all lists, at depth, a
+    slice per C-encoder call.  An encoded string holds no raw newline, so
+    a closing bracket before a separator is a seam between items."""
+    line, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    encode, start, step = _encoder(depth + 1), 0, 16
+    while start < len(items):
+        text = encode(items[start:start + step])[1:-1]
+        first, last = text[0], text[-1]
+        yield ("," + line if start else "") + first + inner + text[
+            1:-1].replace(last + "," + inner + first, line + last + ","
+                          + line + first + inner) + line + last
+        start += step
+        step = max(1, step * _BATCH // (2 * len(text)))
+
+
+def _json_chunks(value, depth=0):
+    """Yield the text of json.dumps(value, indent=2, sort_keys=True),
+    through _slices wherever a container holds only scalars or only
+    such containers."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        yield repr(value) if type(value) is int else _encoder(0)(value)
+        return
+    is_dict = isinstance(value, dict)
+    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        yield from _slices([value], depth)
+        return
+    line = "\n" + "  " * (depth + 1)
+    kinds = set() if is_dict else set(map(type, value))
+    if is_dict:
+        for i, (key, item) in enumerate(sorted(value.items())):
+            # a key that is not a str is written as the stdlib writes it
+            yield ("," if i else "{") + line + (
+                _encoder(0)(key) if type(key) is str
+                else _encoder(0)({key: 0})[1:-4]) + ": "
+            yield from _json_chunks(item, depth + 1)
+    elif (kinds == {dict} or kinds <= {list, tuple}) and all(value) and (
+            _SCALARS.issuperset(map(type, itertools.chain.from_iterable(
+                map(dict.values, value) if kinds == {dict} else value)))):
+        yield "[" + line
+        yield from _slices(value, depth + 1)
+    else:
+        for i, item in enumerate(value):
+            yield ("," if i else "[") + line
+            yield from _json_chunks(item, depth + 1)
+    yield line[:-2] + ("}" if is_dict else "]")
+
+
 def _write(args, payload, out):
     """Render the payload to out, ending in a newline.
 
     Every view gives at least one text line, and CSV has its header.
+    JSON goes through _json_chunks, as CPython runs its C encoder only
+    without an indent.  A cover list runs to megabytes and stdout may be
+    unbuffered, so the text goes out in batches of about _BATCH
+    characters: by size, as one chunk may hold a slice of a long list.
     """
     if args.json:
         report = {"schema": SCHEMA_VERSION, "command": args.command,
                   "result": payload}
-        encoder = json.JSONEncoder(indent=2, sort_keys=True)
-        chunks = itertools.chain(encoder.iterencode(report), ["\n"])
+        chunks = itertools.chain(_json_chunks(report), ["\n"])
     else:
         lines, header, rows = _COMMANDS[args.command][1](args, payload)
         chunks = (line + "\n" for line in lines)
@@ -527,11 +590,14 @@ def _write(args, payload, out):
             writer = csv.writer(types.SimpleNamespace(write=str),
                                 lineterminator="\n")
             chunks = map(writer.writerow, itertools.chain([header], rows))
-    # written in batches of chunks rather than as one string, since a
-    # cover list runs to megabytes, and rather than chunk by chunk,
-    # since stdout may be unbuffered
-    while batch := list(itertools.islice(chunks, 4096)):
-        out.write("".join(batch))
+    batch, size = [], 0
+    for chunk in itertools.chain(chunks, [None]):
+        batch.append(chunk or "")
+        size += len(batch[-1])
+        if size >= _BATCH or chunk is None:
+            text, batch, size = "".join(batch), [], 0
+            for start in range(0, len(text), 2 * _BATCH):
+                out.write(text[start:start + 2 * _BATCH])
 
 
 def _write_matrix_file(args, payload):

@@ -16,7 +16,7 @@ The multiplicity of a cover is the product of its bounded edge weights
 divided by 2^(f+w), where f counts balanced forks (two same-weight ends
 on the same side of one vertex) and w counts balanced wieners (pairs of
 parallel equal-weight edges); this equals the product divided by the
-cover's automorphism count, which is asserted per cover.
+cover's automorphism count, which is checked per cover.
 
 The total count also comes from a collapsed-state dynamic program that
 makes exactly the moves of the sweep's table (_moves), level by level,
@@ -30,10 +30,11 @@ triple, so callers that revisit a partition through a permuted tuple
 
 import functools
 import math
+import operator
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .errors import ArgumentError, DegenerateInputError
+from .errors import ArgumentError, CrossCheckError, DegenerateInputError
 from .util import as_partition
 
 
@@ -64,17 +65,19 @@ class LineCover(namedtuple("LineCover", "genus mu nu num_levels left_ends "
 
     __slots__ = ()
 
-    def weight_product(self) -> int:
-        out = 1
-        for _, _, w in self.bounded_edges:
-            out *= w
-        return out
-
     def canonical_text(self) -> str:
-        left = " ".join([f"{v}:{w}" for v, w in self.left_ends])
-        mid = " ".join([f"{u}-{v}:{w}" for u, v, w in self.bounded_edges])
-        right = " ".join([f"{v}:{w}" for v, w in self.right_ends])
+        left = " ".join(map(_item_text, self.left_ends))
+        mid = " ".join(map(_item_text, self.bounded_edges))
+        right = " ".join(map(_item_text, self.right_ends))
         return f"left {left} | edges {mid} | right {right}"
+
+
+# A cover list repeats few (level, weight) ends and edges, so their texts
+# are made once; the bound keeps a long-lived process from growing.
+@functools.lru_cache(maxsize=4096)
+def _item_text(item) -> str:
+    """'level:weight' for an end, 'lower-upper:weight' for an edge."""
+    return "%d:%d" % item if len(item) == 2 else "%d-%d:%d" % item
 
 
 class CoverMultiplicity(namedtuple("CoverMultiplicity",
@@ -87,7 +90,7 @@ def multiplicity(cover: LineCover) -> CoverMultiplicity:
 
     The denominator is re-derived as the cover's automorphism count
     (permutations of identical ends and identical parallel edges; the
-    level pinning freezes the vertices) and the equality is asserted.
+    level pinning freezes the vertices); CrossCheckError if they differ.
     """
     groups = (cover.left_ends, cover.right_ends, cover.bounded_edges)
     # trivalence allows at most two equal ends at one vertex or two
@@ -97,11 +100,12 @@ def multiplicity(cover: LineCover) -> CoverMultiplicity:
     aut = 1
     for items, repeated in zip(groups, repeats):
         if repeated:  # with no repeats every count below is 1
-            for c in Counter(items).values():
-                aut *= math.factorial(c)
-    assert aut == 2 ** (forks + wieners), cover.canonical_text()
-
-    product = cover.weight_product()
+            aut *= math.prod(map(math.factorial, Counter(items).values()))
+    if aut != 2 ** (forks + wieners):
+        raise CrossCheckError(
+            f"cover {cover.canonical_text()} has {aut} automorphisms but "
+            f"{forks} forks and {wieners} wieners")
+    product = math.prod(map(operator.itemgetter(2), cover.bounded_edges))
     return CoverMultiplicity(product, forks, wieners,
                              Fraction(product, aut))
 
@@ -138,6 +142,7 @@ def iter_line_covers(genus, mu, nu):
         for strand in dict.fromkeys(opens):  # distinct, still in order
             by_weight.setdefault(strand[1], []).append(strand)
         for taken, made, after in _table(moves, s - level).get(weights, ()):
+            fresh = [(level, w) for w in made]
             for picked in _picks(taken, by_weight, opens):
                 pool, next_lefts, added = list(opens), lefts, ()
                 for origin, w in picked:
@@ -146,8 +151,7 @@ def iter_line_covers(genus, mu, nu):
                         added += ((origin, level, w),)
                     else:
                         next_lefts += ((level, w),)
-                yield (tuple(sorted(pool + [(level, w) for w in made])),
-                       after, next_lefts, added)
+                yield tuple(sorted(pool + fresh)), after, next_lefts, added
 
     # a level entered holds its moves and the edge count before it; one
     # list holds the edges of the state walked to

@@ -4,12 +4,14 @@ import io
 import itertools
 import json
 import os
+import random
 import resource
 import shlex
 import shutil
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -469,6 +471,139 @@ def test_views_match_the_payload(tmp_path, capsys, monkeypatch, argv,
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) == text_lines(payload)
+
+
+def _stdlib_json(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _random_json(rng, depth=0):
+    """A nested value mixing scalars, containers of scalars and runs of
+    them, with strings that look like the writer's seams."""
+    texts = ["", "a", "},", "{", '"', "\\", "\n", "],\n  [", "é", "☃"]
+    scalars = [lambda: rng.randint(-10 ** 6, 10 ** 6),
+               lambda: rng.choice(texts), lambda: rng.random() * 1e3,
+               lambda: True, lambda: False, lambda: None, lambda: 2 ** 70,
+               lambda: float("nan")]
+    kind = rng.random()
+    if depth > 3 or kind < 0.3:
+        return rng.choice(scalars)()
+    size = rng.choice([0, 1, 2, 5])
+    if kind < 0.5:
+        return [_random_json(rng, depth + 1) for _ in range(size)]
+    if kind < 0.6:
+        return tuple(_random_json(rng, depth + 1) for _ in range(size))
+    if kind < 0.7:  # a run of dicts of scalars
+        return [{rng.choice(texts): rng.choice(scalars)()
+                 for _ in range(rng.randint(1, 2))}
+                for _ in range(rng.randint(1, 40))]
+    if kind < 0.8:  # a run of lists of scalars
+        return [[rng.choice(scalars)() for _ in range(rng.randint(1, 2))]
+                for _ in range(rng.randint(1, 40))]
+    return {rng.choice(texts) + str(i): _random_json(rng, depth + 1)
+            for i in range(size)}
+
+
+JSON_TRAPS = [
+    [{"a": 1}, [1, 2]],  # one of each kind: no run, so no shared seam
+    {3: [1]}, {1.5: [1], 2: [3]}, {True: [1], False: 2}, {None: [[1]]},
+    [{}, []], [[], {}], [{}], [[]], [[1], []], [{"a": 1}, {}],
+    [[[], []], [[]]], ({"k": (1, 2)}, [(3,), [4]]),
+    ["},", "{", '"', "\\", "\n", "é ☃"], [{"},\n  {": "},\n  {"}] * 3,
+    [{"x": s} for s in ["},", "]", "{", "\n"]],
+    [(1.5, True, None), (-0.0, float("inf"), float("-inf"))],
+]
+
+
+def test_json_writer_matches_the_stdlib():
+    rng = random.Random(28)
+    values = JSON_TRAPS + [_random_json(rng) for _ in range(1500)]
+    for value in values:
+        assert "".join(cli._json_chunks(value)) == _stdlib_json(value)
+    with exact_digits():  # an int past CPython's digit limit
+        value = {"covers": [{"weightProduct": 2 ** 19999, "forks": 0}],
+                 "total": [2 ** 19999, [1]]}
+        assert "".join(cli._json_chunks(value)) == _stdlib_json(value)
+
+
+def _report(argv):
+    args = cli.build_parser().parse_args([*argv, "--json"])
+    payload = cli._COMMANDS[args.command][0](args)
+    return args, payload, {"schema": cli.SCHEMA_VERSION,
+                           "command": args.command, "result": payload}
+
+
+@pytest.mark.parametrize("argv", [
+    ("double-hurwitz", "--genus", "1", "--mu", "3,1", "--nu", "2,2"),
+    ("double-hurwitz", "--genus", "1", "--mu", "3,1", "--nu", "2,2",
+     "--list-covers"),
+    ("chambers", "--lmu", "2", "--lnu", "2"),
+    ("elliptic", "--degree", "3", "--genus", "2"),
+    ("feynman", "--graph", "theta.txt", "--order", "1,2", "--dmax", "3"),
+    ("mirror-check", "--genus", "2", "--dmax", "3"),
+    ("graph-complex", "--genus", "3", "--edges", "6", "--dump-matrix", "m"),
+    ("moduli", "--genus", "1", "--marks", "3", "--poset"),
+    ("oracle", "line", "--genus", "0", "--mu", "2,1", "--nu", "1,1,1"),
+    ("oracle", "elliptic", "--degree", "3", "--genus", "2"),
+], ids=lambda argv: "-".join(argv[:2]) + ("-list" if len(argv) > 7 else ""))
+def test_json_writer_matches_the_stdlib_on_every_payload(
+        tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "theta.txt").write_text(THETA_TEXT, encoding="utf-8")
+    args, payload, report = _report(argv)
+    out = io.StringIO()
+    cli._write(args, payload, out)
+    assert out.getvalue() == _stdlib_json(report) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("double-hurwitz", "--genus", "2", "--mu", "4,2", "--nu", "3,2,1",
+     "--list-covers"),
+    ("moduli", "--genus", "0", "--marks", "7", "--poset"),
+    ("elliptic", "--degree", "5", "--genus", "3"),
+], ids=["list-covers", "moduli", "elliptic"])
+def test_writes_stay_bounded(argv):
+    # batches of about 64 KiB, none past 128 KiB, and nothing lost
+    args, payload, report = _report(argv)
+    sizes = []
+    cli._write(args, payload, types.SimpleNamespace(
+        write=lambda text: sizes.append(len(text))))
+    assert max(sizes) <= 128 * 1024
+    assert sum(sizes) == len(_stdlib_json(report)) + 1
+    assert len(sizes) > 1
+
+
+def test_a_chunk_past_the_batch_is_split():
+    args = types.SimpleNamespace(json=True, command="oracle")
+    payload = {"value": "x" * 300_000, "rows": [[1, "y" * 200_000]]}
+    texts = []
+    cli._write(args, payload, types.SimpleNamespace(write=texts.append))
+    assert max(map(len, texts)) <= 128 * 1024
+    assert "".join(texts) == _stdlib_json(
+        {"schema": cli.SCHEMA_VERSION, "command": "oracle",
+         "result": payload}) + "\n"
+
+
+def test_multiplicity_check_holds_under_optimize():
+    # -O strips asserts; a cover whose |Aut| is not 2^(forks + wieners)
+    # still ends in exit 4 with a message, not in a wrong value
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = (
+        "import sys\n"
+        "from tropica import cli\n"
+        "from tropica.line_covers import LineCover\n"
+        "bad = LineCover(0, (3,), (1, 1, 1), 2, ((1, 3),), (),\n"
+        "                ((1, 1), (1, 1), (1, 1)))\n"
+        "cli.iter_line_covers = lambda *args: iter([bad])\n"
+        "sys.exit(cli.main(['double-hurwitz', '--genus', '0', '--mu', '3',\n"
+        "                   '--nu', '1,1,1', '--list-covers']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == (
+        "cross-check failed: cover left 1:3 | edges  | right 1:1 1:1 1:1 "
+        "has 6 automorphisms but 2 forks and 0 wieners\n")
 
 
 @pytest.mark.parametrize("flag", ["--json", "--force"])

@@ -9,7 +9,8 @@ import pytest
 
 from helpers import line_cover_multigraph, validate_line_cover
 from tropica import line_covers
-from tropica.errors import ArgumentError, DegenerateInputError
+from tropica.errors import (ArgumentError, CrossCheckError,
+                            DegenerateInputError)
 from tropica.line_covers import (LineCover, _dp_total, _moves, _table,
                                  double_hurwitz_tropical,
                                  enumerate_line_covers, iter_line_covers,
@@ -88,6 +89,18 @@ def test_class_structure_2_1():
     covers = enumerate_line_covers(0, (2, 1), (2, 1))
     values = sorted(multiplicity(c).value for c in covers)
     assert values == [1, 3]
+
+
+# three equal right ends at one vertex: 3! automorphisms, but the fork
+# count reads two repeats as two forks, 2^2
+THREE_EQUAL_ENDS = LineCover(0, (3,), (1, 1, 1), 2, ((1, 3),), (),
+                             ((1, 1), (1, 1), (1, 1)))
+
+
+def test_multiplicity_check_raises_on_a_mismatch():
+    with pytest.raises(CrossCheckError,
+                       match="has 6 automorphisms but 2 forks and 0 wieners"):
+        multiplicity(THREE_EQUAL_ENDS)
 
 
 def test_routes_agree_battery():
