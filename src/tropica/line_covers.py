@@ -151,6 +151,8 @@ def iter_line_covers(genus, mu, nu):
                         added += ((origin, level, w),)
                     else:
                         next_lefts += ((level, w),)
+                if level == s and len(next_lefts) < len(mu):
+                    continue  # a left end would stay unused
                 yield tuple(sorted(pool + fresh)), after, next_lefts, added
 
     # a level entered holds its moves and the edge count before it; one
@@ -166,10 +168,9 @@ def iter_line_covers(genus, mu, nu):
                 stack.append((moved(level + 1, pool, after, lefts),
                               len(edges)))
                 break
-            # pool is sorted by origin, so an unused left end would come
-            # first; lefts needs no sort, since levels append in order and
-            # a merge takes the lighter strand first
-            if pool[0][0] and _levels_connected(s, edges):
+            # lefts needs no sort, since levels append in order and a merge
+            # takes the lighter strand first
+            if _levels_connected(s, edges):
                 yield LineCover(genus, mu, nu, s, lefts,
                                 tuple(sorted(edges)), pool)
         else:  # every move of this level is walked

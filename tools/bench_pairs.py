@@ -3,11 +3,10 @@
     python3 tools/bench_pairs.py PARENT_DIR --out BENCH_28.json \
         --workloads line,elliptic,graphs,moduli --pairs 10 --seconds 20
 
-Pair i runs `perfbench/run.py --trace 0 --seed SEED+i` in both trees,
-the parent first in even pairs and this checkout first in odd ones.  The
-output holds, per workload and end-to-end metric, each side's median,
-quartiles and runs, and in how many pairs the change read lower, with
-both git revisions, the Python version and nproc.  Standard library only.
+Pair i runs `perfbench/run.py --trace 0 --seed SEED+i` in both trees, the
+parent first in even pairs.  Per workload and end-to-end metric the file
+holds each side's median, quartiles and runs, and in how many pairs the
+change read lower; also both git revisions, the Python version and nproc.
 """
 
 import argparse
@@ -17,8 +16,6 @@ import platform
 import statistics
 import subprocess
 import sys
-
-HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def bench(tree, workload, seed, seconds):
@@ -32,16 +29,6 @@ def bench(tree, workload, seed, seconds):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def revision(tree):
-    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, text=True,
-                          capture_output=True).stdout.strip()
-
-
-def summary(values):
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent")
@@ -51,29 +38,35 @@ def main():
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--seed", type=int, default=81)
     args = parser.parse_args()
-    trees = {"parent": os.path.abspath(args.parent), "change": HERE}
-    report = {"revisions": {side: revision(t) for side, t in trees.items()},
-              "python": platform.python_version(), "nproc": os.cpu_count(),
-              "pairs": args.pairs, "seconds": args.seconds,
-              "seeds": [args.seed + i for i in range(args.pairs)],
-              "workloads": {}}
+    trees = {"parent": os.path.abspath(args.parent),
+             "change": os.path.dirname(os.path.dirname(os.path.abspath(
+                 __file__)))}
+    report = {"revisions": {side: subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
+        text=True).stdout.strip() for side, tree in trees.items()},
+        "python": platform.python_version(), "nproc": os.cpu_count(),
+        "pairs": args.pairs, "seconds": args.seconds,
+        "seeds": list(range(args.seed, args.seed + args.pairs)),
+        "workloads": {}}
     for workload in args.workloads.split(","):
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(report["seeds"]):
-            for side in ("parent", "change") if i % 2 == 0 else (
-                    "change", "parent"):
+            for side in sorted(runs, reverse=i % 2 == 0):  # parent, even i
                 runs[side].append(bench(trees[side], workload, seed,
                                         args.seconds))
-        metrics = report["workloads"][workload] = {
-            "failed": {side: sum(r["failed"] for r in rs)
-                       for side, rs in runs.items()}}
+        rows = report["workloads"][workload] = {"failed": {
+            side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}
         for name, first in runs["parent"][0]["metrics"].items():
-            sides = {side: [r["metrics"][name]["value"] for r in rs]
-                     for side, rs in runs.items()}
-            metrics[name] = {
-                "unit": first["unit"],
-                **{side: summary(v) for side, v in sides.items()},
-                "change_lower": sum(c < p for p, c in zip(*sides.values()))}
+            values = {side: [r["metrics"][name]["value"] for r in rs]
+                      for side, rs in runs.items()}
+            rows[name] = {"unit": first["unit"]}
+            for side, v in values.items():
+                q1, median, q3 = statistics.quantiles(v, n=4,
+                                                      method="inclusive")
+                rows[name][side] = {"median": median, "q1": q1, "q3": q3,
+                                    "runs": v}
+            rows[name]["change_lower"] = sum(
+                c < p for p, c in zip(values["parent"], values["change"]))
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=1)
             handle.write("\n")
