@@ -75,7 +75,7 @@ def _run_double_hurwitz(args):
     rows, numerators, labels = [], {}, {}
     for cover in iter_line_covers(args.genus, mu, nu):
         m = multiplicity(cover)
-        key = num, den = m.value.as_integer_ratio()
+        key = num, den = m.value.numerator, m.value.denominator
         numerators[den] = numerators.get(den, 0) + num
         if key not in labels:  # one string per distinct value
             labels[key] = frac_str(m.value)

@@ -1,12 +1,12 @@
 """Interleaved benchmark pairs: a parent checkout against this one.
 
-    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_28.json \
-        --workloads line,elliptic,graphs,moduli --pairs 10 --seconds 20
+    python3 tools/bench_pairs.py PARENT_DIR --out BENCH_<n>.json
 
-Pair i runs `perfbench/run.py --trace 0 --seed SEED+i` in both trees, the
-parent first in even pairs.  Per workload and end-to-end metric the file
-holds each side's median, quartiles and runs, and in how many pairs the
-change read lower; also both git revisions, the Python version and nproc.
+Ten pairs per workload of `perfbench/run.py --workload W --trace 0` at
+perfbench's own seed and run length, the parent first in even pairs.
+Per end-to-end metric: each side's runs, median and quartiles, and in how
+many pairs the change read lower; also each tree's git commit and whether
+it had uncommitted changes, the Python version and nproc.
 """
 
 import argparse
@@ -17,56 +17,50 @@ import statistics
 import subprocess
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
-def bench(tree, workload, seed, seconds):
-    """The result line of one perfbench run; failed cases stay counted."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
-    if done.returncode not in (0, 1):  # 1: some case failed
-        sys.exit(f"perfbench failed in {tree}: {done.stderr[-2000:]}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+
+def run(tree, *argv):
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode not in (0, 1):  # perfbench: 1 if some case failed
+        sys.exit(f"{argv[:2]} failed in {tree}: {done.stderr[-2000:]}")
+    return done.stdout.strip()
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workloads", default="line,elliptic,graphs,moduli")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--seed", type=int, default=81)
     args = parser.parse_args()
-    trees = {"parent": os.path.abspath(args.parent),
-             "change": os.path.dirname(os.path.dirname(os.path.abspath(
-                 __file__)))}
-    report = {"revisions": {side: subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
-        text=True).stdout.strip() for side, tree in trees.items()},
+    trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    report = {"revisions": {side: {
+        "commit": run(tree, "git", "rev-parse", "HEAD"),
+        "dirty": bool(run(tree, "git", "status", "--porcelain"))}
+        for side, tree in trees.items()},
         "python": platform.python_version(), "nproc": os.cpu_count(),
-        "pairs": args.pairs, "seconds": args.seconds,
-        "seeds": list(range(args.seed, args.seed + args.pairs)),
-        "workloads": {}}
-    for workload in args.workloads.split(","):
+        "pairs": PAIRS, "workloads": {}}
+    for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
-        for i, seed in enumerate(report["seeds"]):
+        for i in range(PAIRS):
             for side in sorted(runs, reverse=i % 2 == 0):  # parent, even i
-                runs[side].append(bench(trees[side], workload, seed,
-                                        args.seconds))
+                runs[side].append(json.loads(run(
+                    trees[side], sys.executable, "perfbench/run.py",
+                    "--workload", workload, "--trace", "0").splitlines()[-1]))
         rows = report["workloads"][workload] = {"failed": {
             side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}
         for name, first in runs["parent"][0]["metrics"].items():
             values = {side: [r["metrics"][name]["value"] for r in rs]
                       for side, rs in runs.items()}
-            rows[name] = {"unit": first["unit"]}
+            rows[name] = {"unit": first["unit"], "change_lower": sum(
+                c < p for p, c in zip(values["parent"], values["change"]))}
             for side, v in values.items():
                 q1, median, q3 = statistics.quantiles(v, n=4,
                                                       method="inclusive")
                 rows[name][side] = {"median": median, "q1": q1, "q3": q3,
                                     "runs": v}
-            rows[name]["change_lower"] = sum(
-                c < p for p, c in zip(values["parent"], values["change"]))
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=1)
             handle.write("\n")
