@@ -1,12 +1,11 @@
-"""Interleaved benchmark pairs: a parent checkout against this one.
+"""Interleaved benchmark pairs of a parent checkout and this one.
 
     python3 tools/bench_pairs.py PARENT_DIR --out BENCH_<n>.json
 
 Ten pairs per workload of `perfbench/run.py --workload W --trace 0` at
 perfbench's own seed and run length, the parent first in even pairs.
-Per end-to-end metric: each side's runs, median and quartiles, and in how
-many pairs the change read lower; also each tree's git commit and whether
-it had uncommitted changes, the Python version and nproc.
+Writes each end-to-end metric's runs, median and quartiles per side, the
+pairs the change won, both git commits (dirty or not), Python and nproc.
 """
 
 import argparse
