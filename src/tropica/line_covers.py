@@ -66,18 +66,28 @@ class LineCover(namedtuple("LineCover", "genus mu nu num_levels left_ends "
     __slots__ = ()
 
     def canonical_text(self) -> str:
-        left = " ".join(map(_item_text, self.left_ends))
         mid = " ".join(map(_item_text, self.bounded_edges))
-        right = " ".join(map(_item_text, self.right_ends))
-        return f"left {left} | edges {mid} | right {right}"
+        return (f"left {_ends(self.left_ends)[0]} | edges {mid} | "
+                f"right {_ends(self.right_ends)[0]}")
 
 
-# A cover list repeats few (level, weight) ends and edges, so their texts
-# are made once; the bound keeps a long-lived process from growing.
+# Few edges, end tuples (236 across the 17,267 covers of (1, (3,2,1),
+# (2,2,1,1))) and values recur in a cover list; the bounds cap memory.
+_value = functools.lru_cache(maxsize=4096)(Fraction)
+
+
 @functools.lru_cache(maxsize=4096)
 def _item_text(item) -> str:
     """'level:weight' for an end, 'lower-upper:weight' for an edge."""
     return "%d:%d" % item if len(item) == 2 else "%d-%d:%d" % item
+
+
+@functools.lru_cache(maxsize=4096)
+def _ends(items):
+    """(text, repeated entries, |Aut| share) of a tuple of ends."""
+    counts = Counter(items)
+    return (" ".join(map(_item_text, items)), len(items) - len(counts),
+            math.prod(map(math.factorial, counts.values())))
 
 
 class CoverMultiplicity(namedtuple("CoverMultiplicity",
@@ -92,22 +102,21 @@ def multiplicity(cover: LineCover) -> CoverMultiplicity:
     (permutations of identical ends and identical parallel edges; the
     level pinning freezes the vertices); CrossCheckError if they differ.
     """
-    groups = (cover.left_ends, cover.right_ends, cover.bounded_edges)
+    _, left_forks, left_aut = _ends(cover.left_ends)
+    _, right_forks, right_aut = _ends(cover.right_ends)
     # trivalence allows at most two equal ends at one vertex or two
     # parallel edges, so each repeated entry is one fork or one wiener
-    repeats = [len(items) - len(set(items)) for items in groups]
-    forks, wieners = repeats[0] + repeats[1], repeats[2]
-    aut = 1
-    for items, repeated in zip(groups, repeats):
-        if repeated:  # with no repeats every count below is 1
-            aut *= math.prod(map(math.factorial, Counter(items).values()))
+    edges = cover.bounded_edges
+    forks, wieners = left_forks + right_forks, len(edges) - len(set(edges))
+    aut = left_aut * right_aut
+    if wieners:  # with no repeats every count below is 1
+        aut *= math.prod(map(math.factorial, Counter(edges).values()))
     if aut != 2 ** (forks + wieners):
         raise CrossCheckError(
             f"cover {cover.canonical_text()} has {aut} automorphisms but "
             f"{forks} forks and {wieners} wieners")
-    product = math.prod(map(operator.itemgetter(2), cover.bounded_edges))
-    return CoverMultiplicity(product, forks, wieners,
-                             Fraction(product, aut))
+    product = math.prod(map(operator.itemgetter(2), edges))
+    return CoverMultiplicity(product, forks, wieners, _value(product, aut))
 
 
 # -- explicit enumeration --------------------------------------------------
@@ -142,7 +151,7 @@ def iter_line_covers(genus, mu, nu):
         for strand in dict.fromkeys(opens):  # distinct, still in order
             by_weight.setdefault(strand[1], []).append(strand)
         for taken, made, after in _table(moves, s - level).get(weights, ()):
-            fresh = [(level, w) for w in made]
+            fresh = tuple((level, w) for w in made)
             for picked in _picks(taken, by_weight, opens):
                 pool, next_lefts, added = list(opens), lefts, ()
                 for origin, w in picked:
@@ -153,7 +162,8 @@ def iter_line_covers(genus, mu, nu):
                         next_lefts += ((level, w),)
                 if level == s and len(next_lefts) < len(mu):
                     continue  # a left end would stay unused
-                yield tuple(sorted(pool + fresh)), after, next_lefts, added
+                # no sort: fresh origins top the pool, and made is sorted
+                yield tuple(pool) + fresh, after, next_lefts, added
 
     # a level entered holds its moves and the edge count before it; one
     # list holds the edges of the state walked to
