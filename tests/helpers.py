@@ -10,11 +10,13 @@ contraction poset rebuilt through the validated constructor,
 direct permutation-tuple counts, the commutator loop over S_d, a
 product over per-edge choices of elliptic edge data, the local vertex
 conditions, the checks and mirror image of an elliptic cover, the
-checks of a line cover, and a pairwise series product.
+checks of a line cover and its row from scratch, and a pairwise series
+product.
 Keep inputs tiny.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -761,8 +763,12 @@ def line_cover_flags_at(cover: LineCover, level):
 
 
 def validate_line_cover(cover: LineCover):
-    """Raise ArgumentError unless every vertex is 3-valent, balanced and
-    of local defect 1, and the source is connected of the cover's genus."""
+    """Raise ArgumentError unless the end and edge tuples are sorted,
+    every vertex is 3-valent, balanced and of local defect 1, and the
+    source is connected of the cover's genus."""
+    for items in (cover.left_ends, cover.bounded_edges, cover.right_ends):
+        if list(items) != sorted(items):
+            raise ArgumentError(f"cover tuple {items} is not sorted")
     for level in range(1, cover.num_levels + 1):
         flags = line_cover_flags_at(cover, level)
         if len(flags) != 3:
@@ -778,6 +784,27 @@ def validate_line_cover(cover: LineCover):
         raise ArgumentError("cover source is disconnected")
     if graph.first_betti() != cover.genus:
         raise ArgumentError("cover source has wrong first Betti number")
+
+
+def reference_cover_row(cover: LineCover):
+    """(canonical text, weight product, forks, wieners, |Aut|) of a line
+    cover worked out from scratch, in the order its tuples hold: texts
+    joined anew, forks and wieners as equal pairs and |Aut| as a product
+    of factorials, all from plain Counters."""
+    def text(items):
+        return " ".join(f"{item[0]}:{item[1]}" if len(item) == 2
+                        else f"{item[0]}-{item[1]}:{item[2]}"
+                        for item in items)
+
+    groups = [Counter(cover.left_ends), Counter(cover.right_ends),
+              Counter(cover.bounded_edges)]
+    pairs = [sum(math.comb(n, 2) for n in c.values()) for c in groups]
+    aut = math.prod(math.factorial(n) for c in groups for n in c.values())
+    canonical = (f"left {text(cover.left_ends)} | edges "
+                 f"{text(cover.bounded_edges)} | right "
+                 f"{text(cover.right_ends)}")
+    product = math.prod(w for _, _, w in cover.bounded_edges)
+    return canonical, product, pairs[0] + pairs[1], pairs[2], aut
 
 
 # -- truncated series -------------------------------------------------------

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import line_cover_multigraph, validate_line_cover
+from helpers import (line_cover_multigraph, reference_cover_row,
+                     validate_line_cover)
 from tropica import line_covers
 from tropica.errors import (ArgumentError, CrossCheckError,
                             DegenerateInputError)
@@ -101,6 +102,50 @@ def test_multiplicity_check_raises_on_a_mismatch():
     with pytest.raises(CrossCheckError,
                        match="has 6 automorphisms but 2 forks and 0 wieners"):
         multiplicity(THREE_EQUAL_ENDS)
+
+
+@pytest.mark.parametrize("key", [
+    (1, (3, 2, 1), (2, 2, 1, 1)),  # forks and wieners, the most covers
+    (2, (4, 2), (3, 2, 1)),  # wieners only
+    (0, (2, 2, 2), (1,) * 6),  # forks only
+])
+def test_memoised_rows_match_a_reference_from_scratch(key):
+    for cover in iter_line_covers(*key):
+        canonical, product, forks, wieners, aut = reference_cover_row(cover)
+        assert multiplicity(cover) == (product, forks, wieners,
+                                       Fraction(product, aut))
+        assert cover.canonical_text() == canonical
+
+
+# covers of the pairs above with their tuples out of order, equal entries
+# apart, and their (forks, wieners, |Aut|)
+SHUFFLED_COVERS = [
+    (LineCover(1, (3, 2, 1), (2, 2, 1, 1), 7, ((2, 3), (1, 1), (1, 2)),
+               ((5, 6, 2), (1, 2, 3), (6, 7, 4), (2, 3, 6), (5, 6, 2),
+                (3, 4, 5), (4, 5, 4)),
+               ((7, 2), (3, 1), (7, 2), (4, 1))), (1, 1, 4)),
+    (LineCover(0, (2, 2, 2), (1,) * 6, 7, ((1, 2), (2, 2), (1, 2)),
+               ((5, 7, 2), (1, 2, 4), (2, 3, 6), (3, 4, 2), (3, 5, 4),
+                (5, 6, 2)),
+               ((6, 1), (4, 1), (7, 1), (4, 1), (6, 1), (7, 1))), (4, 0, 16)),
+]
+
+
+@pytest.mark.parametrize("cover, expected", SHUFFLED_COVERS)
+def test_multiplicity_reads_unsorted_tuples(cover, expected):
+    canonical, product, forks, wieners, aut = reference_cover_row(cover)
+    assert (forks, wieners, aut) == expected
+    m = multiplicity(cover)
+    assert (m.weight_product, m.forks, m.wieners, m.value) \
+        == (product, forks, wieners, Fraction(product, aut))
+    assert cover.canonical_text() == canonical
+    with pytest.raises(ArgumentError, match="is not sorted"):
+        validate_line_cover(cover)
+    ordered = cover._replace(**{field: tuple(sorted(getattr(cover, field)))
+                                for field in ("left_ends", "bounded_edges",
+                                              "right_ends")})
+    validate_line_cover(ordered)
+    assert multiplicity(ordered) == m
 
 
 def test_routes_agree_battery():
