@@ -222,10 +222,12 @@ def _integral(shape: FeynmanGraph, order, d, coarse) -> TruncatedSeries:
 
     Each edge k gets its own variable q_k, or with coarse=True all edges
     share one q.  Factors are multiplied in vertex by vertex.  Each one
-    moves x_v by at most 2d, so after each factor a term whose |x_v|
-    exceeds 2d times the number of factors still to come at v can no
-    longer reach the constant term and is dropped.  Once a vertex has
-    no factors left, only its x-degree-0 slice survives.
+    moves x_v by at most 2d, so a term whose |x_v| exceeds 2d times the
+    number of factors still to come at v cannot reach the constant term
+    and is never formed: a term of edge (u, v)'s factor moves x_u by s
+    and x_v by -s, so each term meets only the s-window of the sorted
+    factor that keeps both in reach.  Once a vertex has no factors
+    left, only its x-degree-0 slice survives.
     """
     edges = shape.graph.edges
     num_x = shape.num_vertices
@@ -235,7 +237,7 @@ def _integral(shape: FeynmanGraph, order, d, coarse) -> TruncatedSeries:
     if d < 0:
         raise ArgumentError("truncation degree is nonnegative")
     slots = slot_of(order)
-    acc = TruncatedSeries.constant(1, num_x, num_q, 2 * d)
+    terms = {((0,) * num_x, (0,) * num_q): 1}
     # reach[x]: how far the factors still to come can move x's exponent
     reach = [2 * d * sum(e.count(x) for e in edges) for x in range(num_x)]
     # an edge is multiplied in at its endpoint that comes first in order
@@ -243,14 +245,24 @@ def _integral(shape: FeynmanGraph, order, d, coarse) -> TruncatedSeries:
                     key=lambda k: min(slots[x] for x in edges[k])):
         u, v = edges[k]
         lower = u if slots[u] < slots[v] else v
-        acc = acc * propagator_factor(u, v, lower, 0 if coarse else k, d,
-                                      num_x, num_q)
+        factor = propagator_factor(u, v, lower, 0 if coarse else k, d,
+                                   num_x, num_q)
         reach[u] -= 2 * d
         reach[v] -= 2 * d
-        acc.terms = {key: c for key, c in acc.terms.items()
-                     if abs(key[0][u]) <= reach[u]
-                     and abs(key[0][v]) <= reach[v]}
-    return acc.x_constant_part()
+        ordered = sorted((fx[u], sum(fq), fx, fq, fc)
+                         for (fx, fq), fc in factor.terms.items())
+        shifts = [s for s, _, _, _, _ in ordered]
+        acc, terms = terms, {}
+        for (ax, aq), ac in acc.items():
+            a, b, room = ax[u], ax[v], 2 * d - sum(aq)
+            lo = bisect.bisect_left(shifts, max(-reach[u] - a, b - reach[v]))
+            hi = bisect.bisect_right(shifts, min(reach[u] - a, b + reach[v]))
+            for _, degree, fx, fq, fc in ordered[lo:hi]:
+                if degree <= room:
+                    key = (tuple(map(operator.add, ax, fx)),
+                           tuple(map(operator.add, aq, fq)))
+                    terms[key] = terms.get(key, 0) + ac * fc
+    return TruncatedSeries(num_x, num_q, 2 * d, terms).x_constant_part()
 
 
 def refined_integral(shape: FeynmanGraph, order, d) -> TruncatedSeries:

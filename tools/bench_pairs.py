@@ -5,7 +5,14 @@
 Ten pairs per workload of `perfbench/run.py --workload W --trace 0` at
 perfbench's own seed and run length, the parent first in even pairs.
 Writes each end-to-end metric's runs, median and quartiles per side, the
-pairs the change won, both git commits (dirty or not), Python and nproc.
+pairs the change won, the median and quartiles of the per-pair
+change/parent ratio (which cancels a slow spell that hits both runs of a
+pair), both git commits (dirty or not), Python and nproc.
+
+A tree that holds a `__pycache__` under `src/` skips compiling the
+package in every case, so the script refuses to start while either tree
+holds one, and runs its cases with PYTHONDONTWRITEBYTECODE=1 so that
+none is written during the run.
 """
 
 import argparse
@@ -23,10 +30,16 @@ from workloads import WORKLOADS  # noqa: E402
 
 
 def run(tree, *argv):
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if done.returncode not in (0, 1):  # perfbench: 1 if some case failed
         sys.exit(f"{argv[:2]} failed in {tree}: {done.stderr[-2000:]}")
     return done.stdout.strip()
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def main():
@@ -35,6 +48,11 @@ def main():
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    for side, tree in trees.items():
+        for path, dirs, _ in os.walk(os.path.join(tree, "src")):
+            if "__pycache__" in dirs:
+                sys.exit(f"the {side} tree {tree} holds a bytecode cache, "
+                         f"{os.path.join(path, '__pycache__')}; remove it")
     report = {"revisions": {side: {
         "commit": run(tree, "git", "rev-parse", "HEAD"),
         "dirty": bool(run(tree, "git", "status", "--porcelain"))}
@@ -53,13 +71,13 @@ def main():
         for name, first in runs["parent"][0]["metrics"].items():
             values = {side: [r["metrics"][name]["value"] for r in rs]
                       for side, rs in runs.items()}
+            pairs = list(zip(values["parent"], values["change"]))
             rows[name] = {"unit": first["unit"], "change_lower": sum(
-                c < p for p, c in zip(values["parent"], values["change"]))}
+                c < p for p, c in pairs)}
             for side, v in values.items():
-                q1, median, q3 = statistics.quantiles(v, n=4,
-                                                      method="inclusive")
-                rows[name][side] = {"median": median, "q1": q1, "q3": q3,
-                                    "runs": v}
+                rows[name][side] = dict(quartiles(v), runs=v)
+            if all(p for p, _ in pairs):
+                rows[name]["ratio"] = quartiles([c / p for p, c in pairs])
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=1)
             handle.write("\n")
