@@ -10,8 +10,8 @@ contraction poset rebuilt through the validated constructor,
 direct permutation-tuple counts, the commutator loop over S_d, a
 product over per-edge choices of elliptic edge data, the local vertex
 conditions, the checks and mirror image of an elliptic cover, the
-checks of a line cover and its row from scratch, and a pairwise series
-product.
+checks of a line cover and its row from scratch, a pairwise series
+product, and Eisenstein series as coefficient lists.
 Keep inputs tiny.
 """
 
@@ -823,3 +823,14 @@ def naive_series_terms_product(a, b):
             if sum(q) <= a.q_bound:
                 out[x, q] = out.get((x, q), 0) + ac * bc
     return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def eisenstein_series(weight, factor, n_max):
+    """1 + factor * sum_n sigma_{weight - 1}(n) q^n, as coefficients."""
+    return [1] + [factor * sum(k ** (weight - 1) for k in range(1, n + 1)
+                               if n % k == 0) for n in range(1, n_max + 1)]
+
+
+def series_times(a, b):
+    """The product of two coefficient lists, truncated to len(a)."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]

@@ -8,20 +8,29 @@ from fractions import Fraction
 import pytest
 
 from tropica.elliptic_covers import (FeynmanGraph, count_labeled_covers,
-                                     enumerate_feynman_graphs)
+                                     enumerate_feynman_graphs, order_orbits)
 from tropica.errors import ArgumentError
 from tropica.feynman_series import (MirrorRow, TruncatedSeries,
                                     coarse_integral, eisenstein_E2,
                                     mirror_check, propagator_factor,
                                     refined_integral, sigma)
 from tropica.graphs import Multigraph, automorphism_group_order
+from tropica.sym_oracle import hurwitz_elliptic
 from tropica.util import compositions_of, slot_of
 
-from helpers import naive_series_terms_product
+from helpers import (eisenstein_series, naive_series_terms_product,
+                     series_times)
 
 THETA = FeynmanGraph(Multigraph(2, [(0, 1), (0, 1), (0, 1)]))
 CATERPILLAR = FeynmanGraph(
     Multigraph(4, [(0, 2), (0, 1), (0, 1), (1, 3), (2, 3), (2, 3)]))
+# the two genus-3 shapes as the benchmark's feynman cases label them
+BENCH_SHAPES = (
+    FeynmanGraph(Multigraph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3),
+                                (2, 3)])),
+    FeynmanGraph(Multigraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                (2, 3)])),
+)
 
 
 def test_sigma_values():
@@ -126,13 +135,32 @@ def _unpruned_integral(shape, order, d, coarse):
 
 def test_pruned_integrals_match_the_plain_product():
     orders = list(itertools.permutations(range(4)))[::5]
-    for shape in enumerate_feynman_graphs(3):
-        for order in orders:
-            for d in range(4):
-                assert refined_integral(shape, order, d) == \
-                    _unpruned_integral(shape, order, d, coarse=False)
-                assert coarse_integral(shape, order, d) == \
-                    _unpruned_integral(shape, order, d, coarse=True)
+    cases = [(shape, order, range(4))
+             for shape in enumerate_feynman_graphs(3) for order in orders]
+    cases += [(shape, order, range(6))
+              for shape in enumerate_feynman_graphs(2)
+              for order in itertools.permutations(range(2))]
+    for shape, order, degrees in cases:
+        for d in degrees:
+            assert refined_integral(shape, order, d) == \
+                _unpruned_integral(shape, order, d, coarse=False)
+            assert coarse_integral(shape, order, d) == \
+                _unpruned_integral(shape, order, d, coarse=True)
+
+
+def test_bench_problems_match_labeled_counts():
+    # the dmax-6 integral has exactly the multidegrees with a cover, each
+    # with count_labeled_covers as its coefficient: no extra term
+    for shape in BENCH_SHAPES:
+        order = tuple(range(4))
+        expected = {}
+        for total in range(1, 7):
+            for a in compositions_of(total, shape.num_edges):
+                count = count_labeled_covers(shape, order, a)
+                if count:
+                    expected[tuple(2 * x for x in a)] = count
+        series = refined_integral(shape, order, 6)
+        assert {q: c for (_, q), c in series.terms.items()} == expected
 
 
 def test_series_shape_mismatch():
@@ -287,3 +315,70 @@ def test_mirror_check_arguments():
         mirror_check(2, 0)
     with pytest.raises(ArgumentError):
         mirror_check(2, 7)
+
+
+def _quasimodular_monomials(weight, bound):
+    """The coefficient lists of E2^i E4^j E6^k of the given weight."""
+    e2 = [eisenstein_E2(bound).coefficient(q_exps=(n,))
+          for n in range(bound + 1)]
+    e4, e6 = (eisenstein_series(4, 240, bound),
+              eisenstein_series(6, -504, bound))
+    monomials = []
+    for i in range(weight // 2 + 1):
+        for j in range((weight - 2 * i) // 4 + 1):
+            k, rest = divmod(weight - 2 * i - 4 * j, 6)
+            if rest == 0:
+                m = [1] + [0] * bound
+                for series in [e2] * i + [e4] * j + [e6] * k:
+                    m = series_times(m, series)
+                monomials.append(m)
+    return monomials
+
+
+def _solve(rows, rhs):
+    """The solution of a nonsingular square system, exactly."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)]
+         for row, b in zip(rows, rhs)]
+    for col in range(len(m)):
+        pivot = next(r for r in range(col, len(m)) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(len(m)):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [m[r][-1] / m[r][r] for r in range(len(m))]
+
+
+def _mirror_series(genus, d_max):
+    """The coarse series summed over shapes and order orbits as
+    mirror_check sums it, without its d_max cap."""
+    total = TruncatedSeries(0, 1, 2 * d_max)
+    for shape in enumerate_feynman_graphs(genus):
+        per_shape = TruncatedSeries(0, 1, 2 * d_max)
+        for rep, orbit in order_orbits(shape.graph).items():
+            per_shape = per_shape + coarse_integral(shape, rep,
+                                                    d_max).scale(len(orbit))
+        total = total + per_shape.scale(
+            Fraction(1, automorphism_group_order(shape.graph)))
+    return total
+
+
+def test_elliptic_counts_are_quasimodular():
+    # sum_d N_{d,g} q^d is quasimodular of weight 6g - 6 (Dijkgraaf 1995;
+    # Kaneko & Zagier 1995; Boehm, Bringmann, Buchholz & Markwig 2017):
+    # fit it in the E2/E4/E6 monomials from the lowest degrees, then
+    # check each degree to d_max on the series and on the oracle
+    for genus, d_max, size in ((2, 12, 3), (3, 10, 7)):
+        monomials = _quasimodular_monomials(6 * genus - 6, d_max)
+        assert len(monomials) == size
+        counts = [0] + [hurwitz_elliptic(d, genus) for d in range(1, size)]
+        coeffs = _solve([[m[n] for m in monomials] for n in range(size)],
+                        counts)
+        fitted = [sum(c * m[n] for c, m in zip(coeffs, monomials))
+                  for n in range(d_max + 1)]
+        series = _mirror_series(genus, d_max)
+        for d in range(1, d_max + 1):
+            assert series.coefficient(q_exps=(2 * d,)) == fitted[d]
+            assert hurwitz_elliptic(d, genus) == fitted[d]
+        if genus == 2:  # 2 F_2 = (20 E2^3 - 12 E2 E4 - 8 E6) / 103680
+            assert coeffs == [Fraction(c, 103680) for c in (-8, -12, 20)]

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (commutator_elliptic_all, naive_elliptic_hurwitz,
-                     naive_line_hurwitz)
+from helpers import (commutator_elliptic_all, eisenstein_series,
+                     naive_elliptic_hurwitz, naive_line_hurwitz, series_times)
 from tropica import guards, sym_oracle
 from tropica.errors import ArgumentError, SizeGuardError
 from tropica.sym_oracle import _elliptic_all, hurwitz_line, hurwitz_elliptic
@@ -114,23 +114,15 @@ def test_content_sums_match_commutator_loop():
                 d, 2 * g - 2), (d, g)
 
 
-def _eisenstein(weight, factor, n_max):
-    """1 + factor * sum_n sigma_{weight - 1}(n) q^n, as coefficients."""
-    return [1] + [factor * sum(k ** (weight - 1) for k in range(1, n + 1)
-                               if n % k == 0) for n in range(1, n_max + 1)]
-
-
-def _times(a, b):
-    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
-
-
 def test_genus_two_matches_dijkgraaf():
     # Dijkgraaf's F_2 = (10 E_2^3 - 6 E_2 E_4 - 4 E_6) / 103680, whose
     # q^d coefficient is half the genus-2 count: no content sums involved
-    e2, e4, e6 = (_eisenstein(2, -24, 12), _eisenstein(4, 240, 12),
-                  _eisenstein(6, -504, 12))
+    e2, e4, e6 = (eisenstein_series(2, -24, 12),
+                  eisenstein_series(4, 240, 12),
+                  eisenstein_series(6, -504, 12))
     f2 = [Fraction(10 * a - 6 * b - 4 * c, 103680) for a, b, c in
-          zip(_times(_times(e2, e2), e2), _times(e2, e4), e6)]
+          zip(series_times(series_times(e2, e2), e2), series_times(e2, e4),
+              e6)]
     expected = [0, 2, 16, 60, 160, 360, 672, 1240, 1920, 3180, 4400, 6832]
     assert [2 * f2[d] for d in range(1, 13)] == expected
     assert [hurwitz_elliptic(d, 2) for d in range(1, 13)] == expected
