@@ -5,13 +5,14 @@ sum(mu) = sum(nu), the genus-0 count is polynomial on the open chambers
 cut out by the walls sum_{i in I} mu_i - sum_{j in J} nu_j = 0.  On a
 chamber the polynomial is assembled symbolically: every 3-valent tree
 with l + l' labeled ends carries, per bounded edge, the linear weight
-form forced by balancing; a tree contributes on the chamber where all
-its edge weights are positive, with multiplicity the number of ways to
-order its vertices compatibly with the edge orientations.  A tree's
-term is a product of its n - 3 bounded edge weights (n = l + l'), so
-every chamber polynomial is homogeneous of degree n - 3.  The same
-polynomial is recomputed by exact interpolation from point counts in
-the monomials of that degree, and the two must agree.
+form forced by balancing, and the product of its n - 3 forms
+(n = l + l') is tabulated once per profile.  On a chamber each edge is
+oriented toward the side whose form is positive there, and the tree adds
+its product times (-1)^(edges reversed) times the number of ways to
+order its vertices compatibly, so every chamber polynomial is
+homogeneous of degree n - 3.  The same polynomial is recomputed by
+exact interpolation from point counts in the monomials of that degree,
+and the two must agree.
 
 Chamber polynomials are reduced to slice coordinates (nu_l' is
 eliminated via the relation) and evaluate the count for tuples with
@@ -19,6 +20,7 @@ pairwise distinct entries; at repeated entries the tuple count and the
 partition count differ by symmetry factors.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -113,9 +115,12 @@ def _slice_points(lmu, lnu, bound):
 def chamber_decomposition(lmu: int, lnu: int):
     """All chambers realized by integer points of the bounding box.
 
-    Every sign vector with an interior integer point in the box appears
-    exactly once; a box of side 2 * max(lmu, lnu) is large enough.
-    Witnesses prefer points with pairwise distinct mu and nu entries.
+    Every sign vector with an interior integer point in the box of side
+    2 * max(lmu, lnu) appears exactly once.  That box finds every chamber
+    of the profiles with walls and n = lmu + lnu <= 5 (4, 18 and 18 up to
+    side 24) but not at n = 6: (3, 3) gives 30 of 342 chambers, and (4, 2)
+    and (2, 4) 88 of 148.  Witnesses prefer points with pairwise distinct
+    mu and nu entries.
     """
     wall_forms = walls(lmu, lnu)
     bound = 2 * max(int(lmu), int(lnu))
@@ -148,7 +153,6 @@ class ChamberPolynomial:
     def __init__(self, lmu, lnu, terms=None):
         self.lmu = lmu
         self.lnu = lnu
-        self.num_vars = lmu + lnu - 1
         self.terms = {e: Fraction(c) for e, c in (terms or {}).items()
                       if c != 0}
 
@@ -156,25 +160,6 @@ class ChamberPolynomial:
         return (isinstance(other, ChamberPolynomial)
                 and (self.lmu, self.lnu) == (other.lmu, other.lnu)
                 and self.terms == other.terms)
-
-    def add(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return ChamberPolynomial(self.lmu, self.lnu, terms)
-
-    def multiply_linear(self, coeffs):
-        """Multiply by sum coeffs[k] * var_k (slice coordinates)."""
-        terms = {}
-        for e, c in self.terms.items():
-            for k, a in enumerate(coeffs):
-                if a == 0:
-                    continue
-                bumped = list(e)
-                bumped[k] += 1
-                key = tuple(bumped)
-                terms[key] = terms.get(key, Fraction(0)) + c * a
-        return ChamberPolynomial(self.lmu, self.lnu, terms)
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -251,62 +236,62 @@ def _trivalent_trees(num_leaves):
 
 
 def _leaf_side(edges, drop_index, start):
-    """Leaves reachable from `start` once edge `drop_index` is removed."""
-    adjacency = {}
-    for k, (u, v) in enumerate(edges):
-        if k == drop_index:
-            continue
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for other in adjacency.get(node, ()):
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
+    """Nodes reachable from `start` once edge `drop_index` is removed."""
+    seen, grown = {start}, True
+    while grown:
+        grown = False
+        for k, (u, v) in enumerate(edges):
+            if k != drop_index and (u in seen) != (v in seen):
+                seen |= {u, v}
+                grown = True
     return seen
 
 
-def _symbolic_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
+@functools.lru_cache(maxsize=None)
+def _tree_table(lmu, lnu):
+    """Per 3-valent tree with lmu + lnu ends: its inner edges as (a, b,
+    form of a's leaf side), inner nodes counted from 0, and the product of
+    those forms in slice coordinates as {exponents: int}."""
     n = lmu + lnu
-    mu_wit, nu_wit = chamber.witness_mu, chamber.witness_nu
-    total = ChamberPolynomial(lmu, lnu)
+    table = []
     for edges in _trivalent_trees(n):
-        inner = sorted({v for e in edges for v in e if v >= n})
-        index = {node: k for k, node in enumerate(inner)}
-        factors = []
-        relations = []
+        inner_edges, product = [], {(0,) * (n - 1): 1}
         for k, (u, v) in enumerate(edges):
             if u < n or v < n:
                 continue  # ends impose no vertex-order constraint
             side = _leaf_side(edges, k, u)
-            mu_c = tuple(1 if i in side else 0 for i in range(lmu))
-            nu_c = tuple(-1 if lmu + j in side else 0 for j in range(lnu))
-            value = (sum(a * m for a, m in zip(mu_c, mu_wit))
-                     + sum(b * w for b, w in zip(nu_c, nu_wit)))
-            if value == 0:
-                raise ArgumentError(
-                    "chamber witness lies on a wall: "
-                    + LinearForm(mu_c, nu_c).text())
-            if value > 0:
-                factors.append(_reduce_to_slice(mu_c, nu_c))
-                relations.append((index[u], index[v]))
+            form = LinearForm(tuple(int(i in side) for i in range(lmu)),
+                              tuple(-int(lmu + j in side) for j in range(lnu)))
+            inner_edges.append((u - n, v - n, form))
+            grown = {}
+            for exps, c in product.items():
+                for var, a in enumerate(_reduce_to_slice(*form)):
+                    if a:
+                        key = exps[:var] + (exps[var] + 1,) + exps[var + 1:]
+                        grown[key] = grown.get(key, 0) + a * c
+            product = grown
+        table.append((inner_edges, product))
+    return table
+
+
+def _symbolic_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
+    """Sum over trees of the sign and vertex orderings the witness fixes
+    times the tree's product; on the slice the form of b's leaf side is
+    minus that of a's, and a tree has lmu + lnu - 2 inner nodes."""
+    terms = {}
+    for inner_edges, product in _tree_table(lmu, lnu):
+        sign, relations = 1, []
+        for a, b, form in inner_edges:
+            if form.evaluate(chamber.witness_mu, chamber.witness_nu) > 0:
+                relations.append((a, b))
             else:
-                factors.append(_reduce_to_slice(
-                    tuple(1 - a for a in mu_c),
-                    tuple(-1 - b for b in nu_c)))
-                relations.append((index[v], index[u]))
-        orderings = linear_extension_count(len(inner), relations)
-        if orderings == 0:
-            continue
-        term = ChamberPolynomial(lmu, lnu,
-                                 {(0,) * (lmu + lnu - 1): Fraction(orderings)})
-        for coeffs in factors:
-            term = term.multiply_linear(coeffs)
-        total = total.add(term)
-    return total
+                sign = -sign
+                relations.append((b, a))
+        weight = sign * linear_extension_count(lmu + lnu - 2, relations)
+        if weight:
+            for exps, c in product.items():
+                terms[exps] = terms.get(exps, 0) + weight * c
+    return ChamberPolynomial(lmu, lnu, terms)
 
 
 # -- the interpolation route -------------------------------------------------

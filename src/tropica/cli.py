@@ -35,6 +35,7 @@ from .sym_oracle import hurwitz_elliptic, hurwitz_line
 from .util import as_partition, exact_digits, frac_str
 
 SCHEMA_VERSION = "tropica/1"
+_GRAPH_FILE_CHARS = 1 << 20  # a graph file past this is refused unparsed
 
 
 def _int_list(text: str):
@@ -153,9 +154,12 @@ def _run_elliptic(args):
 def _run_feynman(args):
     try:
         with open(args.graph, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+            text = handle.read(_GRAPH_FILE_CHARS + 1)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"cannot read graph file: {exc}")
+    if len(text) > _GRAPH_FILE_CHARS:
+        raise ArgumentError(f"cannot read graph file: {args.graph} holds "
+                            f"more than {_GRAPH_FILE_CHARS} characters")
     shape = FeynmanGraph(parse_graph(text))
     guards.feynman(shape.num_edges, args.dmax, args.force)
     order = _int_list(args.order)
@@ -618,13 +622,19 @@ def main(argv=None) -> int:
         if args.command == "graph-complex" and args.dump_matrix:
             _write_matrix_file(args, payload)
         try:
+            if sys.stdout is None:  # started with descriptor 1 closed
+                raise OSError("standard output is closed")
             with exact_digits():  # every argument is parsed by now
                 _write(args, payload, sys.stdout)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader left early (`| head`): point stdout at devnull so
-            # the flush at interpreter exit cannot raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError as exc:
+            # the reader left early (`| head`) or the output is full: point
+            # stdout at devnull so the flush at interpreter exit cannot
+            # raise again
+            if sys.stdout is not None:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                print(f"error: cannot write output: {exc}", file=sys.stderr)
             return 1
         if args.command == "mirror-check" and not payload["allMatch"]:
             return 4

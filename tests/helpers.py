@@ -11,7 +11,8 @@ direct permutation-tuple counts, the commutator loop over S_d, a
 product over per-edge choices of elliptic edge data, the local vertex
 conditions, the checks and mirror image of an elliptic cover, the
 checks of a line cover and its row from scratch, a pairwise series
-product, and Eisenstein series as coefficient lists.
+product, Eisenstein series as coefficient lists, and chamber
+polynomials built tree by tree for each chamber.
 Keep inputs tiny.
 """
 
@@ -21,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
+from tropica.chambers import _trivalent_trees
 from tropica.elliptic_covers import (EllipticCover, _assignments,
                                      _checked_size, trivalent_classes)
 from tropica.errors import ArgumentError
@@ -30,7 +32,7 @@ from tropica.graphs import (Multigraph, _signature, automorphisms,
                             serialize)
 from tropica.line_covers import LineCover
 from tropica.moduli_space import CombinatorialType, _folds
-from tropica.util import slot_of
+from tropica.util import linear_extension_count, slot_of
 from tropica.sym_oracle import _all_types, _class_rep, _class_size, _walks
 
 
@@ -834,3 +836,65 @@ def eisenstein_series(weight, factor, n_max):
 def series_times(a, b):
     """The product of two coefficient lists, truncated to len(a)."""
     return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+# -- chamber polynomials ----------------------------------------------------
+
+def _reachable(edges, drop_index, start):
+    adjacency = {}
+    for k, (u, v) in enumerate(edges):
+        if k != drop_index:
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
+    seen, stack = {start}, [start]
+    while stack:
+        for other in adjacency.get(stack.pop(), ()):
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return seen
+
+
+def reference_symbolic_polynomial(chamber, lmu, lnu):
+    """{exponents: Fraction} of a chamber's polynomial in slice
+    coordinates, found for this chamber alone: each bounded edge of each
+    3-valent tree weighs the leaf side that is positive at the witness,
+    and the tree adds the product of those weights times its vertex
+    orderings."""
+    n = lmu + lnu
+    witness = tuple(chamber.witness_mu) + tuple(chamber.witness_nu)
+    total = {}
+    for edges in _trivalent_trees(n):
+        inner = sorted({v for e in edges for v in e if v >= n})
+        index = {node: k for k, node in enumerate(inner)}
+        term = {(0,) * (n - 1): Fraction(1)}
+        relations = []
+        for k, (u, v) in enumerate(edges):
+            if u < n or v < n:
+                continue
+            side = _reachable(edges, k, u)
+            coeffs = [int(i in side) for i in range(lmu)] \
+                + [-int(lmu + j in side) for j in range(lnu)]
+            value = sum(c * x for c, x in zip(coeffs, witness))
+            assert value != 0, "chamber witness lies on a wall"
+            if value < 0:  # weigh the other side: all ones minus this one
+                coeffs = [1 - c for c in coeffs[:lmu]] \
+                    + [-1 - c for c in coeffs[lmu:]]
+                u, v = v, u
+            relations.append((index[u], index[v]))
+            last = coeffs[-1]  # nu_lnu = sum(mu) - the other nu entries
+            linear = [c + last for c in coeffs[:lmu]] \
+                + [c - last for c in coeffs[lmu:-1]]
+            grown = {}
+            for exps, c in term.items():
+                for var, a in enumerate(linear):
+                    if a:
+                        bumped = list(exps)
+                        bumped[var] += 1
+                        key = tuple(bumped)
+                        grown[key] = grown.get(key, 0) + c * a
+            term = grown
+        orderings = linear_extension_count(len(inner), relations)
+        for exps, c in term.items():
+            total[exps] = total.get(exps, 0) + orderings * c
+    return {e: c for e, c in total.items() if c != 0}

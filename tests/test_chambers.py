@@ -7,15 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from tropica import guards
+from tropica import chambers as chambers_module, guards
 from tropica.chambers import (Chamber, ChamberPolynomial,
-                              _interpolated_polynomial,
+                              _interpolated_polynomial, _symbolic_polynomial,
                               chamber_decomposition, chamber_polynomial,
                               walls)
 from tropica.errors import (ArgumentError, CrossCheckError,
                             DegenerateInputError, SizeGuardError)
 from tropica.line_covers import double_hurwitz_tropical
 from tropica.util import frac_str
+
+from helpers import reference_symbolic_polynomial
 
 REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
              / "reference.json")
@@ -69,7 +71,7 @@ def test_chamber_counts():
 
 def test_chamber_count_is_box_stable():
     # the sign vectors off the walls in a box two wider than the default
-    for lmu, lnu in [(2, 2), (3, 2)]:
+    for lmu, lnu in [(2, 2), (3, 2), (2, 3)]:
         forms, side = walls(lmu, lnu), 2 * max(lmu, lnu) + 2
         bigger = set()
         for mu in itertools.product(range(1, side + 1), repeat=lmu):
@@ -152,6 +154,44 @@ def test_three_two_polynomials_match_reference():
         for e, coeff in chamber_polynomial(c).ordered_terms())
         for c in chamber_decomposition(3, 2)}
     assert got == expected
+
+
+def test_symbolic_route_matches_the_per_chamber_reference():
+    # (3, 3) is past the guard; these are the 30 chambers a forced run lists
+    for lmu, lnu in [(2, 2), (2, 3), (3, 2), (2, 1), (3, 1), (1, 3), (4, 1),
+                     (5, 1), (1, 5), (3, 3)]:
+        for chamber in chamber_decomposition(lmu, lnu):
+            assert _symbolic_polynomial(chamber, lmu, lnu).terms \
+                == reference_symbolic_polynomial(chamber, lmu, lnu)
+
+
+def test_tree_table_is_built_once_per_profile(monkeypatch):
+    # 15 trees with 2 inner edges each; once per chamber this took 540
+    calls = []
+
+    def counting(edges, drop_index, start):
+        calls.append(drop_index)
+        return leaf_side(edges, drop_index, start)
+
+    leaf_side = chambers_module._leaf_side
+    monkeypatch.setattr(chambers_module, "_leaf_side", counting)
+    chambers_module._tree_table.cache_clear()
+    for chamber in chamber_decomposition(3, 2):
+        _symbolic_polynomial(chamber, 3, 2)
+    assert len(calls) == 30
+
+
+def test_routes_fit_the_chamber_their_inputs_name():
+    # the symbolic route reads its signs off the witness and the
+    # interpolation off the chamber's signs, so a witness taken from
+    # another chamber makes them disagree
+    for lmu, lnu in [(2, 2), (3, 2)]:
+        chambers = chamber_decomposition(lmu, lnu)
+        for first, second in itertools.permutations(chambers, 2):
+            mixed = first._replace(witness_mu=second.witness_mu,
+                                   witness_nu=second.witness_nu)
+            with pytest.raises(CrossCheckError):
+                chamber_polynomial(mixed)
 
 
 @pytest.mark.parametrize("wrong_call, message", [
@@ -306,8 +346,8 @@ def test_work_guard_admits_profiles_that_finish(lmu, lnu):
 @pytest.mark.parametrize("lmu, lnu", [(3, 3), (4, 2), (2, 4), (6, 1),
                                       (1, 6)])
 def test_work_guard_refuses_profiles_that_do_not(lmu, lnu):
-    # forced, (3, 3) takes about 7 s and (4, 2) about 14 s; (6, 1) has
-    # no walls but 126 unknowns
+    # forced, (3, 3) takes about 12 s and (4, 2) about 25 s on a 2-core
+    # VM; (6, 1) has no walls but 126 unknowns
     with pytest.raises(SizeGuardError, match="steps of work"):
         guards.chambers(lmu, lnu)
     assert guards.chambers(lmu, lnu, force=True) > guards.LIMITS["chambers"]

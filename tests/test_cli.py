@@ -798,6 +798,10 @@ BIG = str(10 ** 21)
       "--dmax", "2"), 2),
     (("feynman", "--graph", "{tmp}/million-digits.txt", "--order", "1,2",
       "--dmax", "2"), 2),
+    (("feynman", "--graph", "{tmp}/latin-1.txt", "--order", "1,2",
+      "--dmax", "2"), 2),
+    (("feynman", "--graph", "{tmp}/two-mib.txt", "--order", "1,2",
+      "--dmax", "2"), 2),
     (("graph-complex", "--genus", "3", "--edges", "6",
       "--dump-matrix", "{tmp}/missing/x.txt"), 2),
     (("moduli", "--genus", "0", "--marks", "4",
@@ -827,6 +831,7 @@ BIG = str(10 ** 21)
     (("oracle", "line", "--genus", "0", "--mu", "20", "--nu", "20"), 3),
     (("oracle", "elliptic", "--degree", "35", "--genus", "2"), 3),
 ], ids=["missing-graph", "huge-vertex-count", "million-digit-header",
+        "graph-not-utf-8", "graph-past-the-size-cap",
         "dump-matrix-dir", "cache-dir-under-file", "double-hurwitz",
         "list-covers",
         "double-hurwitz-dp", "list-covers-table", "list-covers-one-part",
@@ -843,6 +848,10 @@ def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
     (tmp_path / "million-digits.txt").write_text(
         f"V {'9' * 10 ** 6} E 3 L 0\ne 0 1\ne 0 1\ne 0 1\n",
         encoding="utf-8")
+    (tmp_path / "latin-1.txt").write_bytes("V 2 E 3 L 0 # é\n".encode(
+        "latin-1"))
+    # read to 1 MiB and one character more, then refused
+    (tmp_path / "two-mib.txt").write_text("#" * (2 << 20), encoding="utf-8")
     shape = elliptic_covers.enumerate_feynman_graphs(3)[0]
     (tmp_path / "shape.txt").write_text(serialize(shape.graph),
                                         encoding="utf-8")
@@ -856,6 +865,8 @@ def test_bad_input_is_refused_without_traceback(tmp_path, argv, expected):
         assert len(proc.stderr) < 200  # the header is quoted in part
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+    if argv[2].endswith(("latin-1.txt", "two-mib.txt")):
+        assert proc.stderr.startswith("error: cannot read graph file: ")
     if expected == 3:
         assert proc.stderr.startswith("error: size guard: ")
         assert proc.stderr.endswith("; pass --force to run anyway\n")
@@ -970,6 +981,31 @@ def test_closed_stdout_pipe_exits_without_traceback():
         proc.stderr.close()
     assert b"Traceback" not in err
     assert err == b""
+
+
+@pytest.mark.parametrize("stdout", [
+    pytest.param("/dev/full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full here")),
+    None,
+], ids=["full-device", "closed"])
+def test_unwritable_stdout_is_one_error_line(stdout):
+    # like `tropica chambers ... > /dev/full` and `... >&-`
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = [sys.executable, "-m", "tropica.cli", "chambers", "--lmu", "2",
+            "--lnu", "2"]
+    if stdout is None:
+        proc = subprocess.run(argv, env=env, stderr=subprocess.PIPE,
+                              text=True, timeout=60,
+                              preexec_fn=lambda: os.close(1))
+    else:
+        with open(stdout, "w", encoding="utf-8") as handle:
+            proc = subprocess.run(argv, env=env, stdout=handle,
+                                  stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_import_loads_no_heavy_modules():

@@ -83,7 +83,8 @@ def test_records_are_immutable(cls, values):
 
 
 def test_every_public_value_class_is_a_record():
-    # the arithmetic types keep their own + and *, which tuples would shadow
+    # their terms are dicts, so as tuples they could be neither hashed nor
+    # frozen; TruncatedSeries also keeps its own + and *, which tuples shadow
     kept = {"TruncatedSeries", "ChamberPolynomial"}
     classes = {name for name in tropica.__all__
                if isinstance(getattr(tropica, name), type)

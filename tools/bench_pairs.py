@@ -9,6 +9,12 @@ pairs the change won, the median and quartiles of the per-pair
 change/parent ratio (which cancels a slow spell that hits both runs of a
 pair), both git commits (dirty or not), Python and nproc.
 
+A machine calibration is taken before the pairs and again after them: the
+median wall time of 11 bare `python -c pass` launches, and the median of
+5 fresh-process runs of one fixed pure-Python loop, timed inside the
+process.  A metric divided by the calibration taken nearest it compares
+across BENCH files written on a machine that ran faster or slower.
+
 A tree that holds a `__pycache__` under `src/` skips compiling the
 package in every case, so the script refuses to start while either tree
 holds one, and runs its cases with PYTHONDONTWRITEBYTECODE=1 so that
@@ -22,9 +28,14 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+LAUNCHES, LOOPS = 11, 5
+LOOP = ("import time\nt = time.perf_counter()\nn = 0\n"
+        "for i in range(2_000_000):\n    n += i * i % 7\n"
+        "print(time.perf_counter() - t)")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
@@ -35,6 +46,18 @@ def run(tree, *argv):
     if done.returncode not in (0, 1):  # perfbench: 1 if some case failed
         sys.exit(f"{argv[:2]} failed in {tree}: {done.stderr[-2000:]}")
     return done.stdout.strip()
+
+
+def calibration():
+    launches = []
+    for _ in range(LAUNCHES):
+        start = time.perf_counter()
+        run(ROOT, sys.executable, "-c", "pass")
+        launches.append(time.perf_counter() - start)
+    loops = [float(run(ROOT, sys.executable, "-c", LOOP))
+             for _ in range(LOOPS)]
+    return {"launch_s": statistics.median(launches),
+            "loop_s": statistics.median(loops)}
 
 
 def quartiles(values):
@@ -58,7 +81,8 @@ def main():
         "dirty": bool(run(tree, "git", "status", "--porcelain"))}
         for side, tree in trees.items()},
         "python": platform.python_version(), "nproc": os.cpu_count(),
-        "pairs": PAIRS, "workloads": {}}
+        "pairs": PAIRS, "calibration": {"before": calibration()},
+        "workloads": {}}
     for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
         for i in range(PAIRS):
@@ -78,9 +102,15 @@ def main():
                 rows[name][side] = dict(quartiles(v), runs=v)
             if all(p for p, _ in pairs):
                 rows[name]["ratio"] = quartiles([c / p for p, c in pairs])
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=1)
-            handle.write("\n")
+        write(args.out, report)
+    report["calibration"]["after"] = calibration()
+    write(args.out, report)
+
+
+def write(path, report):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=1)
+        handle.write("\n")
 
 
 if __name__ == "__main__":
