@@ -10,9 +10,9 @@ form forced by balancing, and the product of its n - 3 forms
 oriented toward the side whose form is positive there, and the tree adds
 its product times (-1)^(edges reversed) times the number of ways to
 order its vertices compatibly, so every chamber polynomial is
-homogeneous of degree n - 3.  The same polynomial is recomputed by
-exact interpolation from point counts in the monomials of that degree,
-and the two must agree.
+homogeneous of degree n - 3.  The polynomial is then checked against
+point counts at interior points whose monomials of that degree are
+independent, which determine it, and at three more points.
 
 Chamber polynomials are reduced to slice coordinates (nu_l' is
 eliminated via the relation) and evaluate the count for tuples with
@@ -171,13 +171,8 @@ class ChamberPolynomial:
             raise ArgumentError("evaluation point must satisfy the slice "
                                "relation sum(mu) == sum(nu)")
         point = tuple(mu) + tuple(nu)[:-1]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for value, power in zip(point, e):
-                term *= value ** power
-            total += term
-        return total
+        return sum((c * math.prod(map(pow, point, e))
+                    for e, c in self.terms.items()), Fraction(0))
 
     def ordered_terms(self):
         """Terms sorted by descending total degree, then exponents."""
@@ -294,7 +289,7 @@ def _symbolic_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
     return ChamberPolynomial(lmu, lnu, terms)
 
 
-# -- the interpolation route -------------------------------------------------
+# -- the check on counted points ---------------------------------------------
 
 def _distinct_chamber_points(chamber: Chamber, lmu, lnu):
     """Interior integer points with pairwise distinct mu and nu entries,
@@ -323,67 +318,53 @@ def _distinct_chamber_points(chamber: Chamber, lmu, lnu):
         degree += 1
 
 
-def _interpolated_polynomial(chamber: Chamber, lmu, lnu) -> ChamberPolynomial:
-    """Fit the point counts by the monomials of degree exactly n - 3.
+def _check_on_counts(polynomial, chamber: Chamber, lmu, lnu):
+    """Check a chamber polynomial against point counts that determine it.
 
-    Every chamber polynomial is homogeneous of that degree, so the fit
-    assumes it.  The first of three check points is the first solve
-    point scaled by the least k past every solve point's degree (2 on
-    every admitted profile); it lies in the same open cone, and a count
-    that is not homogeneous of degree n - 3 fails there.
+    Every chamber polynomial is homogeneous of degree n - 3, so a term of
+    another degree is refused at once.  The scanned points' monomials of
+    that degree are reduced until B = C(2n - 5, n - 3) are independent; a
+    homogeneous polynomial that matches the counts there is the one they
+    fix.  Three check points follow: the first kept point scaled by the
+    least k past every kept degree (2 on every admitted profile), which
+    lies in the same open cone and catches a count that is not
+    homogeneous of degree n - 3, and the next two scanned points.
     """
-    num_vars = lmu + lnu - 1
     degree = lmu + lnu - 3
-    basis = [e for e in itertools.product(range(degree + 1), repeat=num_vars)
+    if any(sum(e) != degree for e in polynomial.terms):
+        raise CrossCheckError(f"chamber polynomial {polynomial.text()} is "
+                              f"not homogeneous of degree {degree}")
+    basis = [e for e in itertools.product(range(degree + 1),
+                                          repeat=lmu + lnu - 1)
              if sum(e) == degree]
-    rows = []
+    rows, kept = [], []
     points = _distinct_chamber_points(chamber, lmu, lnu)
-    first = None
-    for mu, nu in points:
-        first = first or (mu, nu)
-        coords = tuple(mu) + tuple(nu)[:-1]
+    while len(rows) < len(basis):
+        mu, nu = next(points)
+        coords = mu + nu[:-1]
+        lead, row = reduce_row(rows, [math.prod(map(pow, coords, e))
+                                      for e in basis])
+        if lead is not None:
+            rows.append((lead, row))
+            kept.append((mu, nu))
+    first, last = kept[0], kept[-1]
+    scale = sum(last[0]) // sum(first[0]) + 1
+    scaled = tuple(tuple(scale * x for x in part) for part in first)
+    for mu, nu in [*kept, scaled, *itertools.islice(points, 2)]:
+        value = polynomial.evaluate(mu, nu)
         count = double_hurwitz_tropical(0, mu, nu)
-        # clear the count's power-of-two denominator so the row is integral
-        row = [count.denominator * math.prod(x ** p for x, p in
-                                             zip(coords, e))
-               for e in basis]
-        row.append(count.numerator)
-        # eliminate to an upper triangular system; a row whose lead is
-        # the count column says 0 = count
-        lead, row = reduce_row(rows, row)
-        if lead is None:
-            continue
-        if lead == len(basis):
+        if value != count:
             raise CrossCheckError(
-                "interpolation system is inconsistent; the chamber "
-                "counts are not polynomial of the expected degree")
-        rows.append((lead, row))
-        if len(rows) == len(basis):
-            solution = [Fraction(0)] * len(basis)
-            for pivot_col, pivot_row in sorted(rows, reverse=True):
-                value = Fraction(pivot_row[-1])
-                for k in range(pivot_col + 1, len(basis)):
-                    value -= pivot_row[k] * solution[k]
-                solution[pivot_col] = value / pivot_row[pivot_col]
-            solved = ChamberPolynomial(
-                lmu, lnu,
-                {e: c for e, c in zip(basis, solution) if c != 0})
-            scale = sum(mu) // sum(first[0]) + 1
-            scaled = tuple(tuple(scale * x for x in part) for part in first)
-            for mu2, nu2 in [scaled, *itertools.islice(points, 2)]:
-                if solved.evaluate(mu2, nu2) \
-                        != double_hurwitz_tropical(0, mu2, nu2):
-                    raise CrossCheckError(
-                        "interpolated chamber polynomial fails at "
-                        f"mu={mu2} nu={nu2}")
-            return solved
+                f"chamber polynomial {polynomial.text()} gives "
+                f"{frac_str(value)} at mu={mu} nu={nu}, where the count "
+                f"is {frac_str(count)}")
 
 
 def chamber_polynomial(chamber: Chamber) -> ChamberPolynomial:
     """The exact count polynomial on an open chamber.
 
-    Computed symbolically from oriented trees and independently by
-    interpolation from point counts; the routes must agree.  Rejects
+    Computed symbolically from oriented trees and checked against
+    independent point counts at points that determine it.  Rejects
     length profiles (1, 1), where no cover has a 3-valent vertex, and
     witnesses lying on a wall.
     """
@@ -396,10 +377,6 @@ def chamber_polynomial(chamber: Chamber) -> ChamberPolynomial:
         if wall.evaluate(chamber.witness_mu, chamber.witness_nu) == 0:
             raise ArgumentError("chamber witness lies on a wall: "
                                 + wall.text())
-    symbolic = _symbolic_polynomial(chamber, lmu, lnu)
-    interpolated = _interpolated_polynomial(chamber, lmu, lnu)
-    if symbolic != interpolated:
-        raise CrossCheckError(
-            "symbolic and interpolated chamber polynomials disagree: "
-            f"{symbolic.text()} vs {interpolated.text()}")
-    return symbolic
+    polynomial = _symbolic_polynomial(chamber, lmu, lnu)
+    _check_on_counts(polynomial, chamber, lmu, lnu)
+    return polynomial

@@ -25,7 +25,7 @@ routes agree and are tested against each other.  The program runs in
 integers scaled by 2^s, since its only denominators are the powers of
 two from forks and wieners, and its totals are memoised per partition
 triple, so callers that revisit a partition through a permuted tuple
-(as chamber interpolation does) pay for one sweep.
+(as the chamber check does) pay for one sweep.
 """
 
 import functools
@@ -209,7 +209,7 @@ def _picks(taken, by_weight, opens):
 
 
 # A few entries serve one run: its guard, cover sweep and DP share one
-# build.  Chamber interpolation asks for a new nu at each point, so the
+# build.  The chamber check asks for a new nu at each point, so the
 # bound keeps it from holding every table it built.
 @functools.lru_cache(maxsize=8)
 def _moves(nu_parts, s):

@@ -2,16 +2,16 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tropica import chambers as chambers_module, guards
-from tropica.chambers import (Chamber, ChamberPolynomial,
-                              _interpolated_polynomial, _symbolic_polynomial,
-                              chamber_decomposition, chamber_polynomial,
-                              walls)
+from tropica.chambers import (Chamber, ChamberPolynomial, _check_on_counts,
+                              _symbolic_polynomial, chamber_decomposition,
+                              chamber_polynomial, walls)
 from tropica.errors import (ArgumentError, CrossCheckError,
                             DegenerateInputError, SizeGuardError)
 from tropica.line_covers import double_hurwitz_tropical
@@ -137,7 +137,7 @@ def test_polynomials_match_counts_on_interior_points():
 
 
 def test_degree_bound():
-    # homogeneous of degree n - 3, the premise of the interpolation basis
+    # homogeneous of degree n - 3, the premise of the check's basis
     for lmu, lnu in [(2, 2), (3, 2)]:
         for ch in chamber_decomposition(lmu, lnu):
             poly = chamber_polynomial(ch)
@@ -182,8 +182,8 @@ def test_tree_table_is_built_once_per_profile(monkeypatch):
 
 
 def test_routes_fit_the_chamber_their_inputs_name():
-    # the symbolic route reads its signs off the witness and the
-    # interpolation off the chamber's signs, so a witness taken from
+    # the symbolic route reads its signs off the witness and the check
+    # its points off the chamber's signs, so a witness taken from
     # another chamber makes them disagree
     for lmu, lnu in [(2, 2), (3, 2)]:
         chambers = chamber_decomposition(lmu, lnu)
@@ -194,16 +194,8 @@ def test_routes_fit_the_chamber_their_inputs_name():
                 chamber_polynomial(mixed)
 
 
-@pytest.mark.parametrize("wrong_call, message", [
-    (0, "inconsistent"),  # a row of the interpolation system
-    (-1, "fails at"),  # the last extra-point consistency check
-])
-def test_interpolation_rejects_a_wrong_point_count(monkeypatch, wrong_call,
-                                                   message):
-    # a (3,2) chamber draws dependent rows, so a wrong first count is
-    # caught by the system itself
-    chamber = next(c for c in chamber_decomposition(3, 2)
-                   if c.signs == ("+",) * 6)
+def recorded_counts(monkeypatch, chamber):
+    """The (mu, nu) of each count chamber_polynomial asks for, in order."""
     calls = []
 
     def recording(genus, mu, nu):
@@ -213,44 +205,94 @@ def test_interpolation_rejects_a_wrong_point_count(monkeypatch, wrong_call,
     monkeypatch.setattr("tropica.chambers.double_hurwitz_tropical",
                         recording)
     chamber_polynomial(chamber)
-    wrong = calls[wrong_call]
+    return calls
 
+
+def refuse_counts_off_at(monkeypatch, chamber, wrong):
+    """Make the counts at points with wrong(mu, nu) one too large and
+    return the CrossCheckError that chamber_polynomial raises."""
     def off_by_one(genus, mu, nu):
-        value = double_hurwitz_tropical(genus, mu, nu)
-        return value + 1 if (mu, nu) == wrong else value
+        return double_hurwitz_tropical(genus, mu, nu) + wrong(mu, nu)
 
     monkeypatch.setattr("tropica.chambers.double_hurwitz_tropical",
                         off_by_one)
-    with pytest.raises(CrossCheckError, match=message):
+    with pytest.raises(CrossCheckError) as refused:
         chamber_polynomial(chamber)
+    return refused.value
 
 
-@pytest.mark.parametrize("lmu, lnu", [(3, 1), (1, 3), (2, 2), (3, 2)])
-def test_interpolation_refuses_counts_that_are_not_homogeneous(monkeypatch,
-                                                               lmu, lnu):
-    # (2,1) is left out: at degree 0 a constant shift stays homogeneous
-    def shifted(genus, mu, nu):
-        return double_hurwitz_tropical(genus, mu, nu) + 1
+@pytest.mark.parametrize("wrong_call", [
+    0,  # the first kept point
+    9,  # the last of the 10 kept points
+    10,  # the first kept point, scaled
+    -1,  # the last scanned point
+])
+def test_a_wrong_count_is_named(monkeypatch, wrong_call):
+    chamber = next(c for c in chamber_decomposition(3, 2)
+                   if c.signs == ("+",) * 6)
+    calls = recorded_counts(monkeypatch, chamber)
+    assert len(calls) == 13
+    assert calls[10] == tuple(tuple(2 * x for x in part)
+                              for part in calls[0])
+    mu, nu = calls[wrong_call]
+    refused = refuse_counts_off_at(monkeypatch, chamber,
+                                   lambda *point: point == (mu, nu))
+    assert f"at mu={mu} nu={nu}," in str(refused)
 
-    monkeypatch.setattr("tropica.chambers.double_hurwitz_tropical", shifted)
+
+@pytest.mark.parametrize("lmu, lnu", [(2, 1), (3, 1), (1, 3), (2, 2),
+                                      (3, 2)])
+def test_counts_one_too_large_are_refused(monkeypatch, lmu, lnu):
     for chamber in chamber_decomposition(lmu, lnu):
-        with pytest.raises(CrossCheckError):
-            _interpolated_polynomial(chamber, lmu, lnu)
+        refuse_counts_off_at(monkeypatch, chamber, lambda *point: 1)
+
+
+@pytest.mark.parametrize("lmu, lnu", [(2, 1), (2, 2), (3, 2)])
+def test_a_term_of_another_degree_is_refused_before_counting(monkeypatch,
+                                                             lmu, lnu):
+    calls = []
+    monkeypatch.setattr("tropica.chambers.double_hurwitz_tropical",
+                        lambda *args: calls.append(args))
+    for chamber in chamber_decomposition(lmu, lnu):
+        polynomial = _symbolic_polynomial(chamber, lmu, lnu)
+        for extra in [(0,) * (lmu + lnu - 1),
+                      (lmu + lnu - 2,) + (0,) * (lmu + lnu - 2)]:
+            if extra in polynomial.terms:
+                continue
+            wrong = ChamberPolynomial(lmu, lnu,
+                                      {**polynomial.terms, extra: 1})
+            with pytest.raises(CrossCheckError, match="not homogeneous"):
+                _check_on_counts(wrong, chamber, lmu, lnu)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lmu, lnu", [(2, 1), (3, 1), (1, 3), (2, 2),
+                                      (3, 2)])
+def test_counts_wrong_only_at_the_scaled_point_are_refused(monkeypatch,
+                                                            lmu, lnu):
+    # counts right on every scanned shell but not beyond: only the scaled
+    # point, past every scanned degree, sees them
+    for chamber in chamber_decomposition(lmu, lnu):
+        calls = recorded_counts(monkeypatch, chamber)
+        unknowns = math.comb(2 * (lmu + lnu) - 5, lmu + lnu - 3)
+        scaled = calls.pop(unknowns)
+        top = max(sum(mu) for mu, _ in calls)
+        assert sum(scaled[0]) > top
+        refused = refuse_counts_off_at(monkeypatch, chamber,
+                                       lambda mu, nu: sum(mu) > top)
+        assert f"at mu={scaled[0]} nu={scaled[1]}," in str(refused)
 
 
 def test_three_two_chambers_take_few_counts(monkeypatch):
-    # 10 unknowns and 3 checks per chamber; shell by shell on the full
-    # degree-2 basis this took 1,160 counts
-    calls = []
-
-    def counting(genus, mu, nu):
-        calls.append((mu, nu))
-        return double_hurwitz_tropical(genus, mu, nu)
-
-    monkeypatch.setattr("tropica.chambers.double_hurwitz_tropical", counting)
-    for chamber in chamber_decomposition(3, 2):
-        chamber_polynomial(chamber)
-    assert len(calls) <= 400
+    # B = C(2n - 5, n - 3) points that fix the polynomial and 3 checks per
+    # chamber; fitting a second polynomial from every scanned point took
+    # 344 counts at (3,2) and 244 at (5,1)
+    for lmu, lnu, counts in [(2, 2, 24), (3, 2, 234), (2, 3, 234),
+                             (4, 1, 13), (1, 4, 13), (5, 1, 38), (1, 5, 38)]:
+        calls = []
+        for chamber in chamber_decomposition(lmu, lnu):
+            calls += recorded_counts(monkeypatch, chamber)
+        assert len(calls) == counts, (lmu, lnu)
 
 
 def test_neighbours_agree_on_walls():
@@ -354,7 +396,7 @@ def test_work_guard_refuses_profiles_that_do_not(lmu, lnu):
 
 
 def test_work_estimate_counts_walls_and_unknowns():
-    # (walls + 1) * B^3 for B interpolation unknowns per chamber, the
+    # (walls + 1) * B^3 for B unknowns per chamber, the
     # monomials of degree exactly n - 3
     for lmu, lnu, unknowns in ((3, 2, 10), (5, 1, 35), (3, 3, 35), (1, 1, 1)):
         assert guards.chambers(lmu, lnu, force=True) == (

@@ -94,6 +94,8 @@ def test_pruned_search_keeps_every_type(g, n):
 
 
 def test_genus_three_counts():
+    # 42 unmarked types, the count of Maggiolo and Pagani ("Generating
+    # stable modular graphs", J. Symb. Comput. 46, 2011)
     assert len(enumerate_types(3, 0)) == 42
     assert len(enumerate_types(3, 1)) == 181
 

@@ -9,11 +9,14 @@ pairs the change won, the median and quartiles of the per-pair
 change/parent ratio (which cancels a slow spell that hits both runs of a
 pair), both git commits (dirty or not), Python and nproc.
 
-A machine calibration is taken before the pairs and again after them: the
-median wall time of 11 bare `python -c pass` launches, and the median of
-5 fresh-process runs of one fixed pure-Python loop, timed inside the
-process.  A metric divided by the calibration taken nearest it compares
-across BENCH files written on a machine that ran faster or slower.
+A machine calibration is taken before each workload's pairs and once
+after the last: the median wall time of 11 bare `python -c pass`
+launches, and the median of 5 fresh-process runs of one fixed pure-Python
+loop, timed inside the process.  Each workload records the calibration
+taken before its pairs and the one taken after them (the next workload's
+"before"), so a metric divided by either compares across BENCH files
+written on a machine that ran faster or slower, also when the machine's
+speed drifts during the run.
 
 A tree that holds a `__pycache__` under `src/` skips compiling the
 package in every case, so the script refuses to start while either tree
@@ -81,8 +84,8 @@ def main():
         "dirty": bool(run(tree, "git", "status", "--porcelain"))}
         for side, tree in trees.items()},
         "python": platform.python_version(), "nproc": os.cpu_count(),
-        "pairs": PAIRS, "calibration": {"before": calibration()},
-        "workloads": {}}
+        "pairs": PAIRS, "workloads": {}}
+    before = calibration()
     for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
         for i in range(PAIRS):
@@ -90,8 +93,10 @@ def main():
                 runs[side].append(json.loads(run(
                     trees[side], sys.executable, "perfbench/run.py",
                     "--workload", workload, "--trace", "0").splitlines()[-1]))
-        rows = report["workloads"][workload] = {"failed": {
-            side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}
+        rows = report["workloads"][workload] = {
+            "calibration": {"before": before}, "failed": {
+                side: sum(r["failed"] for r in rs)
+                for side, rs in runs.items()}}
         for name, first in runs["parent"][0]["metrics"].items():
             values = {side: [r["metrics"][name]["value"] for r in rs]
                       for side, rs in runs.items()}
@@ -102,9 +107,8 @@ def main():
                 rows[name][side] = dict(quartiles(v), runs=v)
             if all(p for p, _ in pairs):
                 rows[name]["ratio"] = quartiles([c / p for p, c in pairs])
+        before = rows["calibration"]["after"] = calibration()
         write(args.out, report)
-    report["calibration"]["after"] = calibration()
-    write(args.out, report)
 
 
 def write(path, report):
